@@ -8,9 +8,10 @@ bits each, ``--tiny`` shrinks everything for CI smoke):
 * ``sequential`` — a Python loop of per-bank ``TernaryCAM.search()``
   calls, the baseline every fabric result is bit-identical to;
 * ``batched``    — ``TcamFabric.search_batch`` through the fused
-  arena kernel;
-* ``cached``     — the same batch against a warm LRU query cache with a
-  Zipf-ish repeated-query trace.
+  arena kernel.
+
+(The query cache lives in ``CamStore``; ``benchmarks/e2e`` measures it
+as ``store.cached_ns_per_query`` / ``store.cache_hit_rate``.)
 
 **Kernel generations** (the planes-refactor acceptance criterion): the
 fused arena kernel on warm derived planes vs. the pre-planes per-bank
@@ -43,7 +44,6 @@ from fecam.functional import EnergyModel
 
 WIDTH = 64
 FILL = 0.75
-UNIQUE_HOT_FRACTION = 10  # cached trace draws from queries/10 hot queries
 
 FULL = dict(mode="full", bank_counts=(1, 4, 16), rows_per_bank=1024,
             queries=1000, batch_floor=20.0, kernel_floor=2.0, repeats=3,
@@ -60,10 +60,9 @@ def _fast_model():
                        latency_2step=2.3e-9, write_energy_per_cell=0.41e-15)
 
 
-def _build_fabric(banks, rows_per_bank, rng, cache_size=0):
+def _build_fabric(banks, rows_per_bank, rng):
     fabric = TcamFabric(banks=banks, rows_per_bank=rows_per_bank,
-                        width=WIDTH, energy_model=_fast_model(),
-                        cache_size=cache_size)
+                        width=WIDTH, energy_model=_fast_model())
     n_words = int(banks * rows_per_bank * FILL)
     words = ["".join(rng.choice("01X") for _ in range(WIDTH))
              for _ in range(n_words)]
@@ -140,15 +139,10 @@ def _measure(banks, sizes):
     rng = random.Random(20230710 + banks)
     queries = ["".join(rng.choice("01") for _ in range(WIDTH))
                for _ in range(n_queries)]
-    hot = ["".join(rng.choice("01") for _ in range(WIDTH))
-           for _ in range(max(n_queries // UNIQUE_HOT_FRACTION, 1))]
-    hot_trace = [rng.choice(hot) for _ in range(n_queries)]
 
     # Identical twin fabrics so energy accounting can be compared 1:1.
     seq_fabric = _build_fabric(banks, rows_per_bank, random.Random(42))
     bat_fabric = _build_fabric(banks, rows_per_bank, random.Random(42))
-    cache_fabric = _build_fabric(banks, rows_per_bank, random.Random(42),
-                                 cache_size=4 * len(hot))
 
     def run_sequential():
         return [[bank.cam.search(q) for bank in seq_fabric.banks]
@@ -158,13 +152,7 @@ def _measure(banks, sizes):
     # energy-accounting assertions below compare their banks 1:1.
     t_seq, seq_results = _best_of(run_sequential, repeats, warmup=warmup)
     t_batch, bat_results = _best_of(
-        lambda: bat_fabric.search_batch(queries, use_cache=False),
-        repeats, warmup=warmup)
-    cache_fabric.search_batch(hot_trace[:n_queries // 5],
-                              use_cache=True)  # warm
-    t_cached, _ = _best_of(
-        lambda: cache_fabric.search_batch(hot_trace, use_cache=True),
-        repeats, warmup=warmup)
+        lambda: bat_fabric.search_batch(queries), repeats, warmup=warmup)
 
     # Bit-identical matches and energy accounting vs. the loop.
     for per_bank, merged in zip(seq_results, bat_results):
@@ -191,10 +179,7 @@ def _measure(banks, sizes):
         "queries": n_queries,
         "sequential_qps": n_queries / t_seq,
         "batched_qps": n_queries / t_batch,
-        "cached_qps": n_queries / t_cached,
         "batch_speedup": t_seq / t_batch,
-        "cache_speedup": t_seq / t_cached,
-        "cache_hit_rate": cache_fabric.stats.cache_hit_rate,
         "energy_per_query_j": total_energy / n_queries,
         "bit_identical": True,
     }
@@ -207,9 +192,7 @@ def _bench_rows(rows, sizes):
     schema shared by every BENCH_*.json."""
     units = {
         "sequential_qps": "query/s", "batched_qps": "query/s",
-        "cached_qps": "query/s", "batch_speedup": "x",
-        "cache_speedup": "x", "cache_hit_rate": "ratio",
-        "energy_per_query_j": "J", "per_bank_kernel_ms": "ms",
+        "batch_speedup": "x", "energy_per_query_j": "J", "per_bank_kernel_ms": "ms",
         "fused_kernel_ms": "ms", "fused_kernel_speedup": "x",
     }
     out = []
@@ -246,12 +229,10 @@ def run(sizes, json_path=None):
 def print_report(rows):
     from fecam.bench import print_experiment
     print_experiment(
-        "Fabric throughput (sequential vs batched vs cached)",
-        ["banks", "seq qps", "batch qps", "cached qps", "speedup",
-         "cache hit", "J/query"],
+        "Fabric throughput (sequential vs batched)",
+        ["banks", "seq qps", "batch qps", "speedup", "J/query"],
         [[r["banks"], r["sequential_qps"], r["batched_qps"],
-          r["cached_qps"], r["batch_speedup"], r["cache_hit_rate"],
-          r["energy_per_query_j"]] for r in rows])
+          r["batch_speedup"], r["energy_per_query_j"]] for r in rows])
     print_experiment(
         "Batch kernel: fused arena (warm planes) vs per-bank loop",
         ["banks", "per-bank ms", "fused ms", "speedup", "kind"],
@@ -271,8 +252,6 @@ def check_floors(rows, sizes):
         f"fused arena kernel is only "
         f"{headline['fused_kernel_speedup']:.2f}x the per-bank kernel "
         f"it replaced (acceptance floor {sizes['kernel_floor']}x)")
-    # The cache should beat even the batched path on a hot-set trace.
-    assert headline["cached_qps"] > headline["batched_qps"]
 
 
 def test_bench_fabric_throughput():

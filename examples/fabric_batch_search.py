@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""The fabric tier: sharded banks, batched queries, cached results.
+"""The fabric tier: sharded banks and batched queries.
 
 Builds a 4-bank fabric of calibrated 1.5T1DG-Fe arrays, bulk-loads a
-rule table, then serves a 1000-query batch three ways — a sequential
-per-bank loop, the vectorized batch kernel, and a warm query cache —
-printing throughput, energy, and early-termination telemetry.
+rule table, then serves a 1000-query batch two ways — a sequential
+per-bank loop and the vectorized batch kernel — printing throughput,
+energy, and early-termination telemetry.  (Query caching lives one
+tier up, in ``CamStore``: see ``examples/store_quickstart.py``.)
 
 Run:  python examples/fabric_batch_search.py
 """
@@ -26,8 +27,7 @@ model = EnergyModel(DesignKind.DG_1T5, WIDTH, e_1step_per_bit=0.8e-15,
 
 rng = random.Random(2023)
 fabric = TcamFabric(banks=BANKS, rows_per_bank=ROWS, width=WIDTH,
-                    design=DesignKind.DG_1T5, energy_model=model,
-                    cache_size=512)
+                    design=DesignKind.DG_1T5, energy_model=model)
 
 print("=" * 70)
 print(f"1. Bulk-load {BANKS * ROWS * 3 // 4} ternary rules across "
@@ -43,31 +43,23 @@ print(f"loaded {fabric.occupancy} entries in "
 
 print()
 print("=" * 70)
-print("2. Serve 1000 queries: loop vs batch vs cache")
+print("2. Serve 1000 queries: loop vs batch")
 print("=" * 70)
 queries = ["".join(rng.choice("01") for _ in range(WIDTH))
            for _ in range(1000)]
 
 t0 = time.perf_counter()
 for q in queries:
-    fabric.search(q, use_cache=False)
+    fabric.search(q)
 t_loop = time.perf_counter() - t0
 
 t0 = time.perf_counter()
-results = fabric.search_batch(queries, use_cache=False)
+results = fabric.search_batch(queries)
 t_batch = time.perf_counter() - t0
-
-hot = [rng.choice(queries[:50]) for _ in range(1000)]
-fabric.search_batch(hot[:100])  # warm the cache
-t0 = time.perf_counter()
-fabric.search_batch(hot)
-t_cache = time.perf_counter() - t0
 
 print(f"sequential loop : {1000 / t_loop:10.0f} queries/s")
 print(f"vectorized batch: {1000 / t_batch:10.0f} queries/s "
       f"({t_loop / t_batch:.1f}x)")
-print(f"warm query cache: {1000 / t_cache:10.0f} queries/s "
-      f"({t_loop / t_cache:.1f}x)")
 per_query = sum(r.energy for r in results) / len(results)
 print(f"energy per broadcast query: {per_query / FJ / 1e3:.1f} pJ "
       f"({fabric.occupancy} rows x {WIDTH} bits fired per query)")
@@ -77,9 +69,7 @@ print("=" * 70)
 print("3. Fabric telemetry (cross-bank early termination at work)")
 print("=" * 70)
 stats = fabric.stats
-print(f"queries answered: {stats.searches} "
-      f"(array searches: {stats.array_searches}, "
-      f"cache hit rate: {stats.cache_hit_rate:.2f})")
+print(f"queries answered: {stats.searches}")
 print(f"total search energy: {stats.energy_total * 1e9:.2f} nJ; "
       f"worst-bank latency: {stats.worst_latency * 1e9:.2f} ns")
 for bank in stats.per_bank:

@@ -2,8 +2,8 @@
 """The associative-store API in five minutes.
 
 One `CamStore` front door serves every workload; the backing layout —
-one array or a sharded, cached multi-bank fabric — is a `StoreConfig`
-edit that never changes answers (property-tested bit-identical).
+one bank or a sharded, cached multi-bank fabric — is a `StoreConfig`
+edit that never changes answers (property-tested).
 
 Run:  python examples/store_quickstart.py
 """
@@ -13,7 +13,7 @@ from fecam.apps import SeedIndex, TcamRouter
 from fecam.units import FJ
 
 print("=" * 70)
-print("1. CamStore on the single-array backend")
+print("1. CamStore on one bank")
 print("=" * 70)
 store = CamStore(StoreConfig(width=16, rows=64))
 store.insert("1010XXXX01010101", key="rule-a", payload={"action": "allow"})

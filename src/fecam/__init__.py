@@ -26,14 +26,14 @@ Layered public API:
   with circuit-tier energy/latency.
 * :mod:`fecam.fabric` — sharded multi-bank TCAM fabric: free-row bank
   lifecycle, hash/range sharding, vectorized batch search, cross-bank
-  priority-encoder merge, LRU query caching with shard-scoped
-  invalidation.
+  priority-encoder merge; owns the one entry record
+  (:class:`~fecam.store.Match`).
 * :mod:`fecam.store` — **the associative-store API**: one
   :class:`~fecam.store.CamStore` facade with a typed
   :class:`~fecam.store.StoreConfig` and a uniform batch-first result
   model (:class:`~fecam.store.Query` / :class:`~fecam.store.Match` /
-  :class:`~fecam.store.StoreStats`) over pluggable backends — a single
-  array or the sharded fabric — so scaling is a config edit.
+  :class:`~fecam.store.StoreStats`) over the sharded fabric — one
+  bank or many — so scaling is a config edit.
 * :mod:`fecam.service` — **the concurrent serving tier**: a
   :class:`~fecam.service.SearchService` micro-batches concurrent
   requests into fused batch searches over a store, with snapshot

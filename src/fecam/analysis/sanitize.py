@@ -266,11 +266,8 @@ def instrument_planes(planes: Any, monitor: LockMonitor, *,
 
 def _discover_planes(backend: Any) -> Iterable[Tuple[str, Any]]:
     """Every planes object reachable from a store backend, duck-typed
-    (array backend: the cam's planes; fabric backend: the shared arena
-    plus each bank's zero-copy view of it)."""
-    cam = getattr(backend, "cam", None)
-    if cam is not None and getattr(cam, "planes", None) is not None:
-        yield "array.planes", cam.planes
+    (the fabric's shared arena plus each bank's zero-copy view of
+    it)."""
     fabric = getattr(backend, "fabric", None)
     if fabric is not None:
         arena = getattr(fabric, "arena", None)

@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..designs import DesignKind
 from ..errors import OperationError
 from ..store import CamStore, StoreConfig, StoreStats
-from ._compat import legacy_store_config
 
 __all__ = ["AccessResult", "TcamCache"]
 
@@ -41,10 +39,8 @@ class TcamCache:
 
     def __init__(self, lines: int, *, block_bits: int = 6,
                  address_bits: int = 32,
-                 design: Optional[DesignKind] = None,
                  store_config: Optional[StoreConfig] = None):
-        config = legacy_store_config(
-            "TcamCache", store_config=store_config, design=design)
+        config = store_config or StoreConfig()
         if lines < 1:
             raise OperationError("cache needs at least one line")
         if not 0 < block_bits < address_bits:

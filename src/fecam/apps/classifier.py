@@ -13,11 +13,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..designs import DesignKind
 from ..errors import OperationError
 from ..service import SearchService, ServiceStats
 from ..store import CamStore, StoreConfig, StoreStats
-from ._compat import legacy_store_config
 
 __all__ = ["range_to_prefixes", "Rule", "Packet", "ServedClassifier",
            "TcamClassifier"]
@@ -164,32 +162,14 @@ class TcamClassifier:
 
     KEY_WIDTH = 32 + 32 + 16 + 16 + 8
 
-    def __init__(self, capacity_rows: int = 4096,
-                 design: Optional[DesignKind] = None, *,
-                 banks: Optional[int] = None,
-                 cache_size: Optional[int] = None,
+    def __init__(self, capacity_rows: int = 4096, *,
                  store_config: Optional[StoreConfig] = None):
-        config = legacy_store_config(
-            "TcamClassifier", store_config=store_config, design=design,
-            banks=banks, cache_size=cache_size)
         self.capacity_rows = capacity_rows
-        self.store_config = config
+        self.store_config = store_config or StoreConfig()
         self.rules: List[Rule] = []
         self._rows_used = 0  # running expansion count (capacity check)
         self._store: Optional[CamStore] = None
         self._dirty = True
-
-    @property
-    def design(self) -> DesignKind:
-        return self.store_config.design
-
-    @property
-    def banks(self) -> int:
-        return self.store_config.banks
-
-    @property
-    def cache_size(self) -> int:
-        return self.store_config.cache_size
 
     def add_rule(self, rule: Rule) -> int:
         """Append a rule (lower index = higher priority); returns the

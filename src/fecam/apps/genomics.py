@@ -16,10 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..designs import DesignKind
 from ..errors import OperationError
 from ..store import CamStore, StoreConfig, StoreStats
-from ._compat import legacy_store_config
 
 __all__ = ["encode_base", "encode_seed", "SeedIndex", "vote_alignment"]
 
@@ -55,11 +53,9 @@ class SeedIndex:
     [3, 7]
     """
 
-    def __init__(self, reference: str, k: int = 8,
-                 design: Optional[DesignKind] = None, *,
+    def __init__(self, reference: str, k: int = 8, *,
                  store_config: Optional[StoreConfig] = None):
-        config = legacy_store_config(
-            "SeedIndex", store_config=store_config, design=design)
+        config = store_config or StoreConfig()
         if k < 2:
             raise OperationError("seed length must be >= 2")
         if len(reference) < k:

@@ -22,11 +22,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cam.states import normalize_query, normalize_word
-from ..designs import DesignKind
 from ..errors import OperationError, TernaryValueError
-from ..functional.engine import TernaryCAM
-from ..store import ArrayBackend, CamStore, StoreConfig
-from ._compat import legacy_store_config, warn_once
+from ..store import CamStore, StoreConfig
 
 __all__ = ["hamming_distance", "HammingSearcher", "OneShotClassifier"]
 
@@ -63,39 +60,17 @@ class HammingSearcher:
     workloads (the cited one-shot learners use d<=3).
     """
 
-    def __init__(self, rows: int, width: int,
-                 design: Optional[DesignKind] = None,
-                 tcam: Optional[TernaryCAM] = None, *,
+    def __init__(self, rows: int, width: int, *,
                  store_config: Optional[StoreConfig] = None):
-        config = legacy_store_config(
-            "HammingSearcher", store_config=store_config, design=design)
-        if tcam is not None:
-            warn_once("HammingSearcher(tcam=...)",
-                      "HammingSearcher(tcam=...) is deprecated; pass "
-                      "store_config=StoreConfig(...) and let the store "
-                      "own its array", stacklevel=3)
-            backend = ArrayBackend(
-                config.with_geometry(width=width, rows=rows), cam=tcam)
-            self.cam_store = CamStore(backend=backend)
-        else:
-            self.cam_store = CamStore(config.with_geometry(width=width,
-                                                           rows=rows))
+        config = store_config or StoreConfig()
+        self.cam_store = CamStore(config.with_geometry(width=width,
+                                                       rows=rows))
         self.width = width
         self._words: Dict[int, str] = {}
 
     @property
     def capacity(self) -> int:
         return self.cam_store.capacity
-
-    @property
-    def tcam(self) -> TernaryCAM:
-        """The underlying array (array backend only; legacy accessor)."""
-        backend = self.cam_store.backend
-        if not isinstance(backend, ArrayBackend):
-            raise OperationError(
-                "a multi-bank searcher has no single tcam; use "
-                "cam_store instead")
-        return backend.cam
 
     def store(self, row: int, word: str) -> None:
         """Store a prototype word under ``row`` (rewrites in place)."""
@@ -159,14 +134,11 @@ class OneShotClassifier:
     """Nearest-prototype classifier (the ferroelectric TCAM one-shot
     learning use case [5]): one ternary prototype per class."""
 
-    def __init__(self, width: int, design: Optional[DesignKind] = None,
-                 capacity: int = 64, *,
+    def __init__(self, width: int, capacity: int = 64, *,
                  store_config: Optional[StoreConfig] = None):
-        config = legacy_store_config(
-            "OneShotClassifier", store_config=store_config, design=design)
         self.width = width
         self.searcher = HammingSearcher(rows=capacity, width=width,
-                                        store_config=config)
+                                        store_config=store_config)
         self.labels: List[str] = []
 
     def learn(self, label: str, prototype: str) -> int:

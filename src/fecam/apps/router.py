@@ -7,7 +7,7 @@ descending-prefix-length priority order, so the store's priority encoder
 returns the most specific route — exactly how commercial router TCAMs
 operate.  The table lives in a :class:`~fecam.store.CamStore`, so one
 config (``store_config=StoreConfig(banks=..., cache_size=...)``) scales
-it from a single array to a sharded multi-bank fabric with batched
+it from a single bank to a sharded multi-bank fabric with batched
 lookups and query caching.
 """
 
@@ -17,11 +17,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..designs import DesignKind
 from ..errors import OperationError
 from ..service import SearchService, ServiceStats
 from ..store import CamStore, StoreConfig, StoreStats
-from ._compat import legacy_store_config
 
 __all__ = ["Route", "ServedRouter", "TcamRouter", "parse_cidr",
            "ip_to_int", "int_to_ip"]
@@ -121,8 +119,7 @@ class TcamRouter:
     Routes are stored in descending-prefix-length priority order so the
     store's priority encoder returns the longest (most specific)
     prefix.  The backing layout (banks, design, query cache) comes from
-    ``store_config``; the old ``design=``/``banks=``/``cache_size=``
-    arguments still work through a deprecation shim.
+    ``store_config``.
 
     >>> router = TcamRouter(capacity=16)
     >>> router.add_route("10.0.0.0/8", "coarse")
@@ -131,33 +128,13 @@ class TcamRouter:
     'fine'
     """
 
-    def __init__(self, capacity: int = 1024,
-                 design: Optional[DesignKind] = None, *,
-                 banks: Optional[int] = None,
-                 cache_size: Optional[int] = None,
+    def __init__(self, capacity: int = 1024, *,
                  store_config: Optional[StoreConfig] = None):
-        config = legacy_store_config(
-            "TcamRouter", store_config=store_config, design=design,
-            banks=banks, cache_size=cache_size)
         self.capacity = capacity
-        self.store_config = config
+        self.store_config = store_config or StoreConfig()
         self._routes: List[Route] = []
         self._store: Optional[CamStore] = None
         self._dirty = True
-
-    # Legacy layout attributes, still consulted by older call sites.
-
-    @property
-    def design(self) -> DesignKind:
-        return self.store_config.design
-
-    @property
-    def banks(self) -> int:
-        return self.store_config.banks
-
-    @property
-    def cache_size(self) -> int:
-        return self.store_config.cache_size
 
     # -- table management -----------------------------------------------------------
 
@@ -277,7 +254,7 @@ class TcamRouter:
     @property
     def stats(self) -> Dict[str, float]:
         if self._store is None:
-            return {"searches": 0, "energy_j": 0.0, "banks": self.banks,
+            return {"searches": 0, "energy_j": 0.0, "banks": self.store_config.banks,
                     "cache_hits": 0}
         stats = self._store.stats
         return {"searches": stats.searches,

@@ -36,6 +36,7 @@ import threading
 import weakref
 from collections import deque
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .. import errors as _errors
@@ -59,18 +60,30 @@ Scattered = Tuple[int, List[WireMatch], float, float]
 
 _SEND_RETRIES = 3
 
+#: Seconds past the worker's own ``read_timeout`` the parent waits for a
+#: reply before it declares the worker hung.  A live worker answers (or
+#: reports a typed seqlock timeout) within ``read_timeout``; the slack
+#: covers queueing, the pipe, and the boot of a just-respawned worker
+#: (its first request waits in the pipe while the interpreter starts).
+#: Tests shorten it.
+REPLY_SLACK_S = 10.0
+
 
 def resolve_start_method(requested: Optional[str] = None) -> str:
     """Worker start method: explicit arg > ``FECAM_CLUSTER_START`` env >
-    ``fork`` when the platform offers it (cheapest) > ``spawn``."""
-    method = requested or os.environ.get("FECAM_CLUSTER_START") or ""
+    ``spawn``.
+
+    ``fork`` is opt-in only: a worker forked after the parent has run an
+    OpenMP region (the compiled kernel on a multi-core host) inherits
+    libgomp's pool state without its threads and blocks forever.
+    """
+    method = (requested or os.environ.get("FECAM_CLUSTER_START")
+              or "spawn")
     available = multiprocessing.get_all_start_methods()
-    if method:
-        if method not in available:
-            raise OperationError(
-                f"start method {method!r} unavailable; one of {available}")
-        return method
-    return "fork" if "fork" in available else "spawn"
+    if method not in available:
+        raise OperationError(
+            f"start method {method!r} unavailable; one of {available}")
+    return method
 
 
 def _map_worker_error(type_name: str, message: str) -> Exception:
@@ -164,9 +177,16 @@ class _WorkerHandle:
                     f"worker {self.worker_id} pipe is broken") from None
         return fut
 
-    def respawn(self) -> None:
-        """Replace a dead worker process (no-op if it is healthy)."""
+    def respawn(self, hung=None) -> None:
+        """Replace a dead worker process (no-op if it is healthy).
+
+        ``hung`` is the process a caller watched time out: it is killed
+        first, but only while it is still the current one — two callers
+        timing out on one wedged worker must not kill its replacement.
+        """
         with self._respawn_lock:
+            if hung is not None and hung is self.process:
+                self.terminate(kill=True)
             if self._alive and self.process is not None \
                     and self.process.is_alive():
                 return
@@ -183,7 +203,11 @@ class _WorkerHandle:
             pass
         self.terminate(timeout)
 
-    def terminate(self, timeout: float = 2.0) -> None:
+    def terminate(self, timeout: float = 2.0, *,
+                  kill: bool = False) -> None:
+        """Stop the process: SIGTERM, then SIGKILL if it lingers.
+        ``kill`` skips straight to SIGKILL — a stopped or wedged
+        process never gets to act on anything gentler."""
         with self._lock:
             self._alive = False
         if self.conn is not None:
@@ -193,11 +217,19 @@ class _WorkerHandle:
                 pass
         proc = self.process
         if proc is not None and proc.is_alive():
-            proc.terminate()
-            proc.join(timeout)
-            if proc.is_alive():  # pragma: no cover - stuck child
+            if not kill:
+                proc.terminate()
+                proc.join(timeout)
+            if proc.is_alive():
                 proc.kill()
                 proc.join(timeout)
+
+
+def _placements(backend: FabricBackend) -> List[Tuple[Any, ...]]:
+    """Every entry's placement row, straight off the fabric's one entry
+    map — unsorted, because this runs inside every publish window."""
+    return [(m.key, m.word, m.priority, m.payload, m.seq, m.bank, m.row)
+            for m in backend.fabric._entries.values()]
 
 
 def _finalize_cluster(arena: SharedArena,
@@ -216,8 +248,8 @@ class ClusterBackend(SearchBackend):
 
     Satisfies the exact :class:`SearchBackend` contract — which is what
     lets the cross-backend conformance battery run the *same* tests
-    over ``array`` / ``fabric`` / ``cluster`` and demand bit-identical
-    matches, energy, and counters.
+    over ``fabric`` / ``cluster`` and demand bit-identical matches,
+    energy, and counters.
     """
 
     name = "cluster"
@@ -228,10 +260,6 @@ class ClusterBackend(SearchBackend):
                  read_timeout: float = 5.0,
                  respawn: bool = True):
         super().__init__(config)
-        if config.backend_kind != "fabric":
-            raise OperationError(
-                "ClusterBackend shards a fabric config; got "
-                f"{config.backend_kind!r}")
         if workers < 1:
             raise OperationError("a cluster needs at least one worker")
         self.start_method = resolve_start_method(start_method)
@@ -274,9 +302,8 @@ class ClusterBackend(SearchBackend):
         _fire_crash(self.crash_point, site)
 
     def _placement_blob(self) -> bytes:
-        rows = [(m.key, m.word, m.priority, m.payload, m.seq, m.bank,
-                 m.row) for m in self.inner._matches.values()]
-        return pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(_placements(self.inner),
+                            protocol=pickle.HIGHEST_PROTOCOL)
 
     def _mutate(self, fn):
         """Run one mutating op inside a publish window.
@@ -367,11 +394,9 @@ class ClusterBackend(SearchBackend):
                 "from_store needs a fabric-backed store to adopt")
         arena = src.fabric.arena
         backend = cls(store.config, **kwargs)
-        placements = [(m.key, m.word, m.priority, m.payload, m.seq,
-                       m.bank, m.row) for m in src._matches.values()]
         backend.adopt_snapshot(
             (arena.value.copy(), arena.care.copy(), arena.valid.copy()),
-            placements)
+            _placements(src))
         return backend
 
     # -- reads (writer-side bookkeeping) -----------------------------------------
@@ -416,13 +441,17 @@ class ClusterBackend(SearchBackend):
 
     # -- search fan-out ----------------------------------------------------------
 
-    def _handle_failure(self, worker_id: int) -> None:
-        """Dead worker: respawn in place, or rehash its arc away."""
+    def _handle_failure(self, worker_id: int, hung=None) -> None:
+        """A worker failed — died, or went silent (``hung`` is then the
+        process to kill): respawn it in place, or rehash its arc away."""
         if self._closed:
             raise WorkerUnavailable("cluster backend is closed")
+        handle = self._handles[worker_id]
         if self._respawn_workers:
-            self._handles[worker_id].respawn()
+            handle.respawn(hung)
         else:
+            if hung is not None:
+                handle.terminate(kill=True)
             self.ring.remove(worker_id)
 
     def scatter_search(self, queries: Sequence[str],
@@ -431,8 +460,11 @@ class ClusterBackend(SearchBackend):
         ``(generation, wire_matches, energy, latency)`` rows.
 
         One round sends each worker its arc of the batch and pairs the
-        responses; queries stranded by a death are re-partitioned (over
-        the respawned worker, or the shrunken ring) and retried.
+        responses; queries stranded by a death — or by a worker that
+        stays silent past ``read_timeout + REPLY_SLACK_S`` and is killed
+        for it — are re-partitioned (over the respawned worker, or the
+        shrunken ring) and retried.  Rounds running out raises
+        :class:`WorkerUnavailable`, never a bare timeout.
         """
         queries = list(queries)
         out: List[Optional[Scattered]] = [None] * len(queries)
@@ -447,19 +479,26 @@ class ClusterBackend(SearchBackend):
             stranded: List[int] = []
             for worker_id, positions in groups:
                 indices = [remaining[p] for p in positions]
+                handle = self._handles[worker_id]
+                process = handle.process
                 try:
-                    fut = self._handles[worker_id].request(
+                    fut = handle.request(
                         ("search", [queries[i] for i in indices], mask))
                 except WorkerUnavailable:
                     self._handle_failure(worker_id)
                     stranded.extend(indices)
                     continue
-                in_flight.append((worker_id, indices, fut))
-            for worker_id, indices, fut in in_flight:
+                in_flight.append((worker_id, indices, fut, process))
+            for worker_id, indices, fut, process in in_flight:
                 try:
-                    msg = fut.result(timeout=self.read_timeout + 10.0)
+                    msg = fut.result(
+                        timeout=self.read_timeout + REPLY_SLACK_S)
                 except WorkerUnavailable:
                     self._handle_failure(worker_id)
+                    stranded.extend(indices)
+                    continue
+                except FutureTimeout:
+                    self._handle_failure(worker_id, hung=process)
                     stranded.extend(indices)
                     continue
                 if msg[0] == "error":
@@ -505,7 +544,8 @@ class ClusterBackend(SearchBackend):
         out = []
         for worker_id, handle, fut in futures:
             try:
-                msg = fut.result(timeout=self.read_timeout + 10.0)
+                msg = fut.result(
+                    timeout=self.read_timeout + REPLY_SLACK_S)
             except Exception:
                 continue
             if msg[0] != "ok":

@@ -22,15 +22,14 @@ import os
 import pickle
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..errors import OperationError
-from ..fabric.fabric import FabricEntry, TcamFabric
+from ..fabric.fabric import Match, TcamFabric
 from ..fabric.shard import HashSharding
 from ..store.config import StoreConfig
 from .shm import SharedArena
 
 __all__ = ["Replica"]
 
-#: Wire row for one match: mirrors Match/FabricEntry field content.
+#: Wire row for one match: the fields of a :class:`Match`, in order.
 WireMatch = Tuple[Hashable, str, float, int, int, Any, int]
 
 
@@ -39,10 +38,6 @@ class Replica:
 
     def __init__(self, arena: SharedArena, config: StoreConfig, *,
                  read_timeout: float = 5.0):
-        if config.backend_kind != "fabric":
-            raise OperationError(
-                f"cluster replicas need a fabric config, got "
-                f"{config.backend_kind!r}")
         sharding = (HashSharding(config.banks)
                     if config.placement == "hash" else None)
         self.arena = arena
@@ -50,7 +45,7 @@ class Replica:
         self.fabric = TcamFabric(
             banks=config.banks, rows_per_bank=config.rows_per_bank,
             width=config.width, design=config.design, sharding=sharding,
-            energy_model=config.resolve_energy_model(), cache_size=0,
+            energy_model=config.resolve_energy_model(),
             arena=arena.planes())
         self._meta_generation = -1
 
@@ -64,13 +59,12 @@ class Replica:
             placements = pickle.loads(blob) if blob else []
             fabric = self.fabric
             rows_per_bank = fabric.rows_per_bank
-            row_entry: List[List[Optional[FabricEntry]]] = [
+            row_entry: List[List[Optional[Match]]] = [
                 [None] * rows_per_bank for _ in range(fabric.num_banks)]
-            entries: Dict[Hashable, FabricEntry] = {}
+            entries: Dict[Hashable, Match] = {}
             for key, word, priority, payload, seq, bank, row in placements:
-                entry = FabricEntry(key=key, word=word, priority=priority,
-                                    bank=bank, row=row, payload=payload,
-                                    seq=seq)
+                entry = Match(key=key, word=word, priority=priority,
+                              bank=bank, row=row, payload=payload, seq=seq)
                 entries[key] = entry
                 row_entry[bank][row] = entry
             fabric._entries = entries
@@ -105,9 +99,8 @@ class Replica:
         """
         def attempt():
             generation = self._refresh()
-            raw = self.fabric.search_batch(list(queries), mask,
-                                           use_cache=False)
-            return generation, raw
+            return generation, self.fabric.search_batch(list(queries),
+                                                        mask)
         generation, raw = self.arena.read_consistent(
             attempt, timeout=self.read_timeout, on_retry=self._bust)
         matches = [

@@ -30,8 +30,9 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Any, List, Optional, Tuple
 
 from ..errors import DurabilityError, OperationError
-from ..store.backend import SearchBackend, make_backend
+from ..store.backend import SearchBackend
 from ..store.config import StoreConfig
+from ..store.fabric import FabricBackend
 from . import crash as _crash
 from .snapshot import placements_of
 from .store import DurableCamStore
@@ -56,9 +57,8 @@ def _new_config(config: StoreConfig, banks: int,
                 rows: Optional[int]) -> StoreConfig:
     if banks < 1:
         raise OperationError("a store needs at least one bank")
-    # backend="auto" so a reshard to one bank legally resolves to the
-    # array backend (an explicit backend="array" forbids banks > 1 and
-    # an explicit "fabric" would pin one bank to fabric overhead).
+    # backend="auto": a config spelled backend="array" would reject
+    # banks > 1 (the field is otherwise inert).
     return dc_replace(config, banks=banks,
                       rows=config.rows if rows is None else rows,
                       backend="auto").resolved()
@@ -91,7 +91,7 @@ def _build_backend(config: StoreConfig, frozen) -> SearchBackend:
     placement is the same deterministic function of (seq, geometry) a
     fresh store would compute.
     """
-    backend = make_backend(config)
+    backend = FabricBackend(config)
     entries = sorted(frozen, key=lambda m: m.seq)
     if entries:
         backend.insert_many(

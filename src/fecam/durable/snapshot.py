@@ -39,14 +39,6 @@ def snapshot_path(directory: str, generation: int) -> str:
     return os.path.join(directory, f"snap-{generation:016d}.snap")
 
 
-def _backend_planes(backend: Any):
-    """The backend's contiguous planes (array bank or fabric arena)."""
-    fabric = getattr(backend, "fabric", None)
-    if fabric is not None:
-        return fabric.arena
-    return backend.cam.planes
-
-
 def placements_of(backend: Any) -> List[Placement]:
     """Every live entry's full placement row, priority order."""
     return [(m.key, m.word, m.priority, m.payload, m.seq, m.bank, m.row)
@@ -65,7 +57,7 @@ def write_snapshot(directory: str, *, generation: int, seq: int,
     """
     cp = crash_point
     _crash.fire(cp, "snapshot.before")
-    planes = _backend_planes(backend)
+    planes = backend.fabric.arena
     meta: Dict[str, Any] = {
         "generation": generation,
         "seq": seq,

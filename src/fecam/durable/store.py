@@ -28,7 +28,6 @@ from ..analysis.markers import requires_lock
 from ..errors import DurabilityError
 from ..obs.trace import active as trace_active, stage as trace_stage
 from ..store import CamStore
-from ..store.array import ArrayBackend
 from ..store.config import StoreConfig
 from ..store.fabric import FabricBackend
 from ..store.result import Match
@@ -70,11 +69,9 @@ def _restored_backend(config: StoreConfig, placements,
                       planes_state=None):
     """Build a backend at recorded placements (see the classmethods)."""
     config = config.resolved()
-    cls = (ArrayBackend if config.backend_kind == "array"
-           else FabricBackend)
     if planes_state is None:
-        return cls.from_placements(config, placements)
-    return cls.from_snapshot(config, planes_state, placements)
+        return FabricBackend.from_placements(config, placements)
+    return FabricBackend.from_snapshot(config, planes_state, placements)
 
 
 class DurableCamStore(CamStore):

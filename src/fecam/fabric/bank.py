@@ -37,31 +37,15 @@ class CamBank:
     def __init__(self, bank_id: int, rows: int, width: int,
                  design: DesignKind = DesignKind.DG_1T5, *,
                  energy_model: Optional[EnergyModel] = None,
-                 cam: Optional[TernaryCAM] = None,
                  planes: Optional[TernaryPlanes] = None):
         self.bank_id = bank_id
-        if cam is not None and planes is not None:
-            raise OperationError(
-                "pass either an adopted cam or a planes view, not both")
-        if cam is not None:
-            # Adopt an existing array: its already-valid rows stay out of
-            # the free pool (legacy injection paths hand over pre-loaded
-            # engines).
-            if cam.rows != rows or cam.width != width:
-                raise OperationError(
-                    f"adopted cam is {cam.rows}x{cam.width}, bank wants "
-                    f"{rows}x{width}")
-            self.cam = cam
-            self._free: List[int] = [
-                row for row in range(rows) if not cam._valid[row]]
-        else:
-            # ``planes`` injects a row-slice view of a fabric's
-            # contiguous arena; standalone banks own private storage.
-            self.cam = TernaryCAM(rows=rows, width=width, design=design,
-                                  energy_model=energy_model, planes=planes)
-            # Min-heap of free rows: allocation is deterministic
-            # lowest-first.
-            self._free = list(range(rows))
+        # ``planes`` injects a row-slice view of a fabric's contiguous
+        # arena; standalone banks own private storage.
+        self.cam = TernaryCAM(rows=rows, width=width, design=design,
+                              energy_model=energy_model, planes=planes)
+        # Min-heap of free rows: allocation is deterministic
+        # lowest-first.
+        self._free: List[int] = list(range(rows))
         heapq.heapify(self._free)
 
     # -- capacity ----------------------------------------------------------------
@@ -152,8 +136,7 @@ class CamBank:
 
         Snapshot restore loads arena content underneath the bank
         (planes-level, no per-row inserts); afterwards the allocator's
-        free pool is exactly the invalid rows — the same derivation the
-        adopted-cam constructor path uses.
+        free pool is exactly the invalid rows.
         """
         self._free = [row for row in range(self.cam.rows)
                       if not self.cam._valid[row]]

@@ -53,13 +53,12 @@ from .. import kernels as _kernels
 from ..analysis.markers import hot_path
 from ..errors import TernaryValueError
 from ..cam.states import normalize_query
-from ..functional.engine import SearchStats, TernaryCAM, pack_words
+from ..functional.engine import TernaryCAM, pack_words
 from ..planes import (DerivedPlanes, Step1Index, TernaryPlanes,
                       build_step1_index, compress_even, masked_derived)
 
-__all__ = ["normalize_queries", "pack_queries", "search_packed_batch",
-           "batch_count_matches", "fused_count_matches", "BankBatchCounts",
-           "FusedBatchCounts"]
+__all__ = ["normalize_queries", "pack_queries", "batch_count_matches",
+           "fused_count_matches", "BankBatchCounts", "FusedBatchCounts"]
 
 _ORD_0, _ORD_1 = ord("0"), ord("1")
 
@@ -74,9 +73,6 @@ TABLE_MIN_QUERIES = 32
 #: Dense-scratch / candidate-gather size bounds (elements / pairs).
 _DENSE_MAX_ELEMS = 8 << 20
 _SPARSE_MAX_PAIRS = 16 << 20
-
-# Back-compat alias (pre-planes callers imported the compactor from here).
-_compress_even = compress_even
 
 
 def normalize_queries(queries: Sequence[str], width: int) -> List[str]:
@@ -506,8 +502,8 @@ def batch_count_matches(cam: TernaryCAM, q_values: np.ndarray,
     Produces the exact integer counts a loop of ``search_packed`` calls
     would: step-1 eliminations, step-2 misses, and full matches per
     query, plus every matching row.  No energy accounting happens here —
-    callers (``search_packed_batch``, ``TcamFabric.search_batch``) feed
-    these counts through the same formulas as the scalar path.
+    the caller feeds these counts through the same formulas as the
+    scalar path.
 
     This is the one-bank specialization of :func:`fused_count_matches`;
     ``kernel``/``reuse_cache`` forward to it.
@@ -519,31 +515,3 @@ def batch_count_matches(cam: TernaryCAM, q_values: np.ndarray,
                            fused.step1_eliminated[0],
                            fused.step2_misses[0], fused.full_matches[0],
                            fused.match_q, fused.match_rows)
-
-
-def search_packed_batch(cam: TernaryCAM, q_values: np.ndarray,
-                        mask_bits: Optional[np.ndarray] = None, *,
-                        block: int = DEFAULT_BLOCK) -> List[SearchStats]:
-    """Search Q packed queries against one array.
-
-    Returns one :class:`SearchStats` per query, in order, with exactly
-    the numbers (matches, energy, latency, counters) a sequential loop
-    of ``cam.search_packed(q)`` calls would produce.
-    """
-    q_values = np.asarray(q_values, dtype=np.uint64)
-    counts = batch_count_matches(cam, q_values, mask_bits, block=block)
-    step1 = counts.step1_eliminated.tolist()
-    step2 = counts.step2_misses.tolist()
-    match_q, match_rows = counts.match_q, counts.match_rows
-    n_hits = len(match_q)
-    finish = cam._finish_search
-    results: List[SearchStats] = []
-    ptr = 0
-    for i in range(q_values.shape[0]):
-        rows: List[int] = []
-        while ptr < n_hits and match_q[ptr] == i:
-            rows.append(match_rows[ptr])
-            ptr += 1
-        results.append(finish(rows, counts.rows_searched,
-                              step1[i], step2[i]))
-    return results

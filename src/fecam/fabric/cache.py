@@ -4,13 +4,11 @@ Associative search is read-dominated in every workload the paper
 motivates (routing tables mutate rarely; classification rule sets are
 near-static), so repeated queries can skip the array entirely — zero
 search energy, zero match-line activity.  Correctness is kept by
-*generation vectors*: every bank carries a write counter, each cached
-result remembers the counters of the banks it consulted, and a hit is
-only served while those counters still agree — lazily, with no scan
-over the cache.  A write invalidates the cached results that consulted
-the written bank; since today's fabric searches broadcast to every
-bank, that is every cached result, but the per-bank vector lets
-future routed (single-shard) lookups survive writes to other shards.
+*generation vectors*: each cached result remembers the write-generation
+counters it was computed at, and a hit is only served while those
+counters still agree — lazily, with no scan over the cache.  The one
+user, :class:`~fecam.store.CamStore`, keys on its single store-wide
+write generation, so any write invalidates every cached result.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ class QueryCache:
 
     * ``hits`` / ``misses`` — lookup outcomes (stale entries count as
       misses);
-    * ``stale_drops`` — entries discarded because a consulted bank was
+    * ``stale_drops`` — entries discarded because the content was
       written after the result was cached;
     * ``evictions`` — capacity-pressure LRU drops.
     """
@@ -102,8 +100,7 @@ def serve_cached_batch(cache: Optional[QueryCache],
                        count_served: Callable[[], None]) -> List[Any]:
     """Serve a query batch through an optional cache, deduplicated.
 
-    The one implementation of the subtle hit/miss/duplicate accounting
-    shared by :meth:`TcamFabric.search_batch` and
+    The subtle hit/miss/duplicate accounting behind
     :meth:`fecam.store.CamStore.search_batch`:
 
     * without a cache, ``compute(items)`` runs verbatim (duplicates

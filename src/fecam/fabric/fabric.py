@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,16 +37,17 @@ from ..obs.trace import stage as trace_stage
 from ..planes import TernaryPlanes
 from .bank import CamBank
 from .batch import fused_count_matches, normalize_queries, pack_queries
-from .cache import QueryCache, serve_cached_batch
 from .shard import HashSharding, ShardPolicy
 
-__all__ = ["TcamFabric", "FabricEntry", "FabricSearchResult", "FabricStats",
+__all__ = ["TcamFabric", "Match", "FabricSearchResult", "FabricStats",
            "BankTelemetry"]
 
 
 @dataclass
-class FabricEntry:
-    """One stored word and where the fabric placed it."""
+class Match:
+    """One stored entry and where the fabric placed it — the single
+    record the fabric stores and every search (fabric, store, served)
+    returns."""
 
     key: Hashable
     word: str
@@ -65,24 +66,19 @@ class FabricEntry:
 class FabricSearchResult:
     """Merged outcome of one fabric-wide search.
 
-    ``energy``/``latency`` are what serving *this* result actually
-    cost: a cache hit reports 0.0 for both (no array fired), consistent
-    with :attr:`TcamFabric.stats` not growing on hits.
-
     ``per_bank`` carries the individual :class:`SearchStats` for
     sequential searches; batched searches keep only the (identical)
     aggregates and leave it ``None`` — materializing Q x banks stats
     objects would dominate the vectorized kernel.
     """
 
-    matches: List[FabricEntry]  # global priority order (best first)
+    matches: List[Match]        # global priority order (best first)
     energy: float               # J, summed over all banks
     latency: float              # s, worst bank (banks run in parallel)
     per_bank: Optional[List[SearchStats]] = None
-    cached: bool = False
 
     @property
-    def best(self) -> Optional[FabricEntry]:
+    def best(self) -> Optional[Match]:
         return self.matches[0] if self.matches else None
 
     @property
@@ -117,18 +113,14 @@ class FabricStats:
     rows_per_bank: int
     width: int
     occupancy: int
-    searches: int           # queries answered, including cache hits
-    array_searches: int     # queries that actually fired the arrays
+    searches: int           # queries answered (every one fires the banks)
     energy_total: float
     worst_latency: float
-    cache_hits: int
-    cache_misses: int
-    cache_hit_rate: float
     per_bank: List[BankTelemetry] = field(default_factory=list)
 
 
 class TcamFabric:
-    """Sharded multi-bank TCAM with batch search and optional caching.
+    """Sharded multi-bank TCAM with vectorized batch search.
 
     >>> fabric = TcamFabric(banks=4, rows_per_bank=16, width=8)
     >>> entry = fabric.insert("1010XXXX", key="rule-a")
@@ -140,7 +132,6 @@ class TcamFabric:
                  width: int = 64, design: DesignKind = DesignKind.DG_1T5, *,
                  sharding: Optional[ShardPolicy] = None,
                  energy_model: Optional[EnergyModel] = None,
-                 cache_size: int = 0,
                  arena: Optional[TernaryPlanes] = None):
         if banks < 1:
             raise OperationError("a fabric needs at least one bank")
@@ -179,15 +170,11 @@ class TcamFabric:
             raise OperationError(
                 f"sharding policy covers {self.sharding.num_banks} banks, "
                 f"fabric has {banks}")
-        self._entries: Dict[Hashable, FabricEntry] = {}
-        self._row_entry: List[List[Optional[FabricEntry]]] = [
+        self._entries: Dict[Hashable, Match] = {}
+        self._row_entry: List[List[Optional[Match]]] = [
             [None] * rows_per_bank for _ in range(banks)]
-        self._generations: List[int] = [0] * banks
-        self._cache: Optional[QueryCache] = (
-            QueryCache(cache_size) if cache_size else None)
         self._seq = 0
         self._searches = 0
-        self._array_searches = 0
         self._worst_latency = 0.0
         self._step1_eliminated = [0] * banks
         self._rows_examined = [0] * banks
@@ -197,7 +184,6 @@ class TcamFabric:
                 design: DesignKind = DesignKind.DG_1T5,
                 keys: Optional[Sequence[Hashable]] = None,
                 payloads: Optional[Sequence[Any]] = None,
-                cache_size: int = 0,
                 energy_model: Optional[EnergyModel] = None) -> "TcamFabric":
         """Build a fabric sized for ``words``, striped round-robin.
 
@@ -207,7 +193,7 @@ class TcamFabric:
         """
         n = max(len(words), 1)
         fabric = cls(banks=banks, rows_per_bank=(n + banks - 1) // banks,
-                     width=width, design=design, cache_size=cache_size,
+                     width=width, design=design,
                      energy_model=energy_model)
         if words:
             fabric.insert_many(words, keys=keys,
@@ -236,13 +222,13 @@ class TcamFabric:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def entry(self, key: Hashable) -> FabricEntry:
+    def entry(self, key: Hashable) -> Match:
         try:
             return self._entries[key]
         except KeyError:
             raise OperationError(f"no entry with key {key!r}") from None
 
-    def entries(self) -> List[FabricEntry]:
+    def entries(self) -> List[Match]:
         """All entries in global priority order."""
         return sorted(self._entries.values(), key=lambda e: e.sort_key)
 
@@ -258,11 +244,6 @@ class TcamFabric:
 
     # -- write lifecycle ---------------------------------------------------------
 
-    def _allocate_key(self, key: Optional[Hashable]) -> Hashable:
-        if key is None:
-            return ("auto", self._seq)
-        return key
-
     def _resolve_bank(self, key: Hashable, bank: Optional[int]) -> int:
         if bank is None:
             return self.sharding.bank_for(key)
@@ -272,46 +253,54 @@ class TcamFabric:
 
     def insert(self, word: str, key: Optional[Hashable] = None, *,
                priority: Optional[float] = None, payload: Any = None,
-               bank: Optional[int] = None) -> FabricEntry:
-        """Place a word; returns its :class:`FabricEntry`.
+               bank: Optional[int] = None,
+               seq: Optional[int] = None) -> Match:
+        """Place a word; returns its :class:`Match`.
 
         ``key`` defaults to a unique auto key; ``priority`` defaults to
         insertion order (earlier = higher priority); ``bank`` overrides
         the sharding policy for explicit placement (round-robin loads,
-        locality experiments).
+        locality experiments); ``seq`` lets a caller that numbers its
+        own operations (the store) make its sequence number the
+        record's — by default the fabric allocates the next one.
         """
         word = normalize_word(word)  # entry.word is always canonical
-        key = self._allocate_key(key)
+        if seq is None:
+            seq = self._seq
+        if key is None:
+            key = ("auto", seq)
         if key in self._entries:
             raise OperationError(f"duplicate key {key!r}; use update()")
         bank_id = self._resolve_bank(key, bank)
         row = self.banks[bank_id].insert(word)
-        entry = FabricEntry(
+        entry = Match(
             key=key, word=word,
-            priority=self._seq if priority is None else priority,
-            bank=bank_id, row=row, payload=payload, seq=self._seq)
-        self._seq += 1
+            priority=seq if priority is None else priority,
+            bank=bank_id, row=row, payload=payload, seq=seq)
+        self._seq = max(self._seq, seq + 1)
         self._entries[key] = entry
         self._row_entry[bank_id][row] = entry
-        self._generations[bank_id] += 1
         return entry
 
     def insert_many(self, words: Sequence[str],
                     keys: Optional[Sequence[Hashable]] = None, *,
                     priorities: Optional[Sequence[float]] = None,
                     payloads: Optional[Sequence[Any]] = None,
-                    banks: Optional[Sequence[int]] = None
-                    ) -> List[FabricEntry]:
+                    banks: Optional[Sequence[int]] = None,
+                    seqs: Optional[Sequence[int]] = None
+                    ) -> List[Match]:
         """Bulk load through the vectorized packer, one write per bank.
 
         Orders of magnitude faster than looped :meth:`insert` for large
         tables (rule sets, routing snapshots) — words are grouped by
-        owning bank and packed in single NumPy passes.
+        owning bank and packed in single NumPy passes.  ``seqs`` are
+        caller-owned sequence numbers, as in :meth:`insert`.
         """
         n = len(words)
-        for name, seq in (("keys", keys), ("priorities", priorities),
-                          ("payloads", payloads), ("banks", banks)):
-            if seq is not None and len(seq) != n:
+        for name, column in (("keys", keys), ("priorities", priorities),
+                             ("payloads", payloads), ("banks", banks),
+                             ("seqs", seqs)):
+            if column is not None and len(column) != n:
                 raise OperationError(f"{name} must match words in length")
         # Pack (and thereby validate) every word up front, so the
         # multi-bank insert below cannot fail halfway and leak allocated
@@ -324,24 +313,26 @@ class TcamFabric:
             # both): normalize, then re-pack — reraises real errors.
             words = [normalize_word(w) for w in words]
             value, care = pack_words(words, self.width)
-        entries: List[FabricEntry] = []
+        entries: List[Match] = []
         batch_keys: set = set()
         by_bank: Dict[int, List[int]] = {}
         for i in range(n):
-            key = self._allocate_key(keys[i] if keys else None)
+            seq = self._seq if seqs is None else seqs[i]
+            key = keys[i] if keys else None
+            if key is None:
+                key = ("auto", seq)
             if key in self._entries or key in batch_keys:
                 raise OperationError(f"duplicate key {key!r}; use update()")
             batch_keys.add(key)
             bank_id = self._resolve_bank(
                 key, banks[i] if banks is not None else None)
-            entry = FabricEntry(
+            entry = Match(
                 key=key, word=words[i],
-                priority=(self._seq if priorities is None
-                          else priorities[i]),
+                priority=seq if priorities is None else priorities[i],
                 bank=bank_id, row=-1,
                 payload=payloads[i] if payloads is not None else None,
-                seq=self._seq)
-            self._seq += 1
+                seq=seq)
+            self._seq = max(self._seq, seq + 1)
             entries.append(entry)
             by_bank.setdefault(bank_id, []).append(i)
         for bank_id, indices in by_bank.items():
@@ -355,13 +346,12 @@ class TcamFabric:
                 packed=(value[indices], care[indices]))
             for row, i in zip(rows, indices):
                 entries[i].row = row
-            self._generations[bank_id] += 1
         for entry in entries:
             self._entries[entry.key] = entry
             self._row_entry[entry.bank][entry.row] = entry
         return entries
 
-    def adopt_entries(self, entries: Sequence[FabricEntry], *,
+    def adopt_entries(self, entries: Sequence[Match], *,
                       write: bool = True) -> None:
         """Register restored entries at their recorded placements.
 
@@ -401,20 +391,18 @@ class TcamFabric:
                     f"duplicate key {entry.key!r} in adopted entries")
             self._entries[entry.key] = entry
             self._row_entry[entry.bank][entry.row] = entry
-        self._generations = [g + 1 for g in self._generations]
         self._seq = 1 + max((entry.seq for entry in entries), default=-1)
 
-    def delete(self, key: Hashable) -> FabricEntry:
+    def delete(self, key: Hashable) -> Match:
         """Remove an entry; its row returns to the bank's free pool."""
         entry = self.entry(key)
         self.banks[entry.bank].delete(entry.row)
         del self._entries[key]
         self._row_entry[entry.bank][entry.row] = None
-        self._generations[entry.bank] += 1
         return entry
 
     def update(self, key: Hashable, word: str, *,
-               payload: Any = None) -> FabricEntry:
+               payload: Any = None) -> Match:
         """Rewrite an entry's word in place (bank/row/priority kept)."""
         word = normalize_word(word)
         entry = self.entry(key)
@@ -422,7 +410,6 @@ class TcamFabric:
         entry.word = word
         if payload is not None:
             entry.payload = payload
-        self._generations[entry.bank] += 1
         return entry
 
     # -- search ------------------------------------------------------------------
@@ -431,7 +418,7 @@ class TcamFabric:
         """Merge per-bank stats into one priority-ordered fabric result."""
         energy = 0.0
         latency = 0.0
-        matched: List[FabricEntry] = []
+        matched: List[Match] = []
         for bank_id, stats in enumerate(per_bank):
             energy += stats.energy
             latency = max(latency, stats.latency)
@@ -444,7 +431,6 @@ class TcamFabric:
                     matched.append(entry)
         matched.sort(key=lambda e: e.sort_key)
         self._searches += 1
-        self._array_searches += 1
         self._worst_latency = max(self._worst_latency, latency)
         return FabricSearchResult(matches=matched, energy=energy,
                                   latency=latency, per_bank=per_bank)
@@ -454,49 +440,24 @@ class TcamFabric:
         """Broadcast one query to every bank and merge by priority.
 
         Semantically identical to calling ``bank.cam.search(query, mask)``
-        on each bank in order and aggregating — the loop the batched and
-        cached paths are tested against — but the query (and mask) are
-        packed once and probed into each bank via ``search_packed``
-        rather than re-packed per bank.
+        on each bank in order and aggregating — the loop the batched
+        path is tested against — but the query (and mask) are packed
+        once and probed into each bank via ``search_packed`` rather
+        than re-packed per bank.
         """
+        # use_cache is ignored (no cache here); frozen benchmarks/e2e passes it.
         query = normalize_query(query)
         if len(query) != self.width:
             raise TernaryValueError(
                 f"query length {len(query)} != fabric width {self.width}")
-        cache = self._cache if use_cache else None
-        generations = tuple(self._generations)
-        if cache is not None:
-            hit = cache.get((query, mask), generations)
-            if hit is not None:
-                self._searches += 1
-                return self._from_cache(hit)
         q_value = self.banks[0].cam.pack_query(query)
         mask_bits = (self.banks[0].cam.pack_mask(mask)
                      if mask is not None else None)
-        per_bank = [bank.cam.search_packed(q_value, mask_bits)
-                    for bank in self.banks]
-        result = self._combine(per_bank)
-        if cache is not None:
-            cache.put((query, mask), generations, self._snapshot(result))
-        return result
-
-    @staticmethod
-    def _snapshot(result: FabricSearchResult) -> FabricSearchResult:
-        """Copy stored/served cache entries so a caller mutating a
-        result's ``matches`` list cannot corrupt the cached original."""
-        return replace(result, matches=list(result.matches))
-
-    @classmethod
-    def _from_cache(cls, hit: FabricSearchResult) -> FabricSearchResult:
-        # A hit fires no array: report the cost actually paid (none) —
-        # including dropping per_bank, whose stats describe work the
-        # original search did — so summing result energies agrees with
-        # stats.energy_total.
-        return replace(hit, matches=list(hit.matches), energy=0.0,
-                       latency=0.0, per_bank=None, cached=True)
+        return self._combine([bank.cam.search_packed(q_value, mask_bits)
+                              for bank in self.banks])
 
     def search_first(self, query: str,
-                     mask: Optional[str] = None) -> Optional[FabricEntry]:
+                     mask: Optional[str] = None) -> Optional[Match]:
         """Cross-bank priority-encoder output: the best-priority match."""
         return self.search(query, mask).best
 
@@ -506,33 +467,17 @@ class TcamFabric:
                      use_cache: bool = True) -> List[FabricSearchResult]:
         """Vectorized multi-query search over every bank.
 
-        Returns one result per query, in order.  Without a cache this is
-        bit-identical (matches, energy, latency, bank counters) to
-        ``[self.search(q, mask) for q in queries]``; with a cache,
-        duplicate queries inside the batch are served once and counted
-        as hits.  Matches are always identical to the loop, but under
-        cache *capacity pressure* the batched path can do strictly less
-        array work than the loop (which re-fires arrays after LRU
-        evictions), so energy/hit telemetry may be lower — it reflects
-        the work actually performed.
+        Returns one result per query, in order, bit-identical (matches,
+        energy, latency, bank counters) to
+        ``[self.search(q, mask) for q in queries]``.
         """
+        # use_cache is ignored (no cache here); frozen benchmarks/e2e passes it.
         queries = normalize_queries(queries, self.width)
         if not queries:
             return []
         mask_bits = (self.banks[0].cam.pack_mask(mask)
                      if mask is not None else None)
-        return serve_cached_batch(
-            self._cache if use_cache else None, tuple(self._generations),
-            queries, key_fn=lambda query: (query, mask),
-            compute=lambda unique: self._search_batch_arrays(unique,
-                                                             mask_bits),
-            snapshot=self._snapshot, from_cache=self._from_cache,
-            count_served=self._count_cache_served)
-
-    def _count_cache_served(self) -> None:
-        # A cache-served query is still an answered query; only the
-        # array-search counter stays put (no bank fired).
-        self._searches += 1
+        return self._search_batch_arrays(queries, mask_bits)
 
     def _search_batch_arrays(self, queries: List[str],
                              mask_bits) -> List[FabricSearchResult]:
@@ -589,7 +534,7 @@ class TcamFabric:
             self._rows_examined[bank_id] += rows_searched * n_q
         # Matches come back grouped by query with global arena rows
         # ascending — bank attribution is a divmod by the bank span.
-        matched: List[List[FabricEntry]] = [[] for _ in range(n_q)]
+        matched: List[List[Match]] = [[] for _ in range(n_q)]
         rows_per_bank = self.rows_per_bank
         row_entry = self._row_entry
         for qi, arena_row in zip(counts.match_q, counts.match_rows):
@@ -608,7 +553,6 @@ class TcamFabric:
                 matches=entries, energy=energy_list[i],
                 latency=latency_list[i]))
         self._searches += n_q
-        self._array_searches += n_q
         if latency_list:
             self._worst_latency = max(self._worst_latency,
                                       max(latency_list))
@@ -634,23 +578,12 @@ class TcamFabric:
         return FabricStats(
             num_banks=self.num_banks, rows_per_bank=self.rows_per_bank,
             width=self.width, occupancy=self.occupancy,
-            searches=self._searches, array_searches=self._array_searches,
+            searches=self._searches,
             energy_total=sum(bank.cam.energy_spent for bank in self.banks),
-            worst_latency=self._worst_latency,
-            # `is not None`, not truthiness: QueryCache has __len__, so
-            # an empty-but-consulted cache is falsy yet has counters.
-            cache_hits=self._cache.hits if self._cache is not None else 0,
-            cache_misses=(self._cache.misses
-                          if self._cache is not None else 0),
-            cache_hit_rate=(self._cache.hit_rate
-                            if self._cache is not None else 0.0),
-            per_bank=per_bank)
+            worst_latency=self._worst_latency, per_bank=per_bank)
 
     def __repr__(self) -> str:
-        cache = (f"{len(self._cache)}/{self._cache.capacity}"
-                 if self._cache is not None else "off")
         return (f"<TcamFabric banks={self.num_banks} "
                 f"rows_per_bank={self.rows_per_bank} width={self.width} "
                 f"design={self.design} "
-                f"occupancy={self.occupancy}/{self.capacity} "
-                f"cache={cache}>")
+                f"occupancy={self.occupancy}/{self.capacity}>")

@@ -174,14 +174,7 @@ def instrument_fabric(fabric, registry: MetricsRegistry) -> Unregister:
     early-termination story (labeled by ``bank``)."""
     c_searches = registry.counter(
         "fecam_fabric_searches_total",
-        "Queries answered by the fabric, including cache hits.")
-    c_array_searches = registry.counter(
-        "fecam_fabric_array_searches_total",
-        "Queries that fired the banks.")
-    c_cache_hits = registry.counter(
-        "fecam_fabric_cache_hits_total", "Fabric query-cache hits.")
-    c_cache_misses = registry.counter(
-        "fecam_fabric_cache_misses_total", "Fabric query-cache misses.")
+        "Queries answered by the fabric (each one fires every bank).")
     c_energy = registry.counter(
         "fecam_fabric_energy_joules_total",
         "Joules spent across every bank.")
@@ -214,9 +207,6 @@ def instrument_fabric(fabric, registry: MetricsRegistry) -> Unregister:
     def hook() -> None:
         stats = fabric.stats
         c_searches.set_total(stats.searches)
-        c_array_searches.set_total(stats.array_searches)
-        c_cache_hits.set_total(stats.cache_hits)
-        c_cache_misses.set_total(stats.cache_misses)
         c_energy.set_total(stats.energy_total)
         g_occupancy.set(stats.occupancy)
         g_worst_latency.set(stats.worst_latency)
@@ -425,7 +415,6 @@ def instrument(obj, registry: MetricsRegistry) -> Unregister:
     from ..functional.engine import TernaryCAM
     from ..fabric.fabric import TcamFabric
     from ..service.service import SearchService
-    from ..store.array import ArrayBackend
     from ..store.fabric import FabricBackend
     from ..store.store import CamStore
 
@@ -451,8 +440,6 @@ def instrument(obj, registry: MetricsRegistry) -> Unregister:
             unregisters.append(instrument(backend.inner.fabric, registry))
         elif isinstance(backend, FabricBackend):
             unregisters.append(instrument(backend.fabric, registry))
-        elif isinstance(backend, ArrayBackend):
-            unregisters.append(instrument_cam(backend.cam, registry))
     elif isinstance(obj, TcamFabric):
         unregisters.append(instrument_fabric(obj, registry))
         for bank in obj.banks:

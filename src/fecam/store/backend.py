@@ -1,11 +1,13 @@
 """The :class:`SearchBackend` contract every store backend satisfies.
 
-A backend owns physical storage (one array or a fabric of banks) and
-answers batch searches; all policy above raw storage — key allocation,
-priorities, query caching, telemetry aggregation — lives in the
-:class:`~fecam.store.CamStore` facade, so the two backends stay thin and
-interchangeable.  Words and queries arrive canonicalized ('01X' /
-'01' strings of exactly ``width`` symbols); backends never normalize.
+A backend owns physical storage (a fabric of banks — in this process
+for :class:`~fecam.store.FabricBackend`, behind worker processes for
+:class:`~fecam.cluster.ClusterBackend`) and answers batch searches; all
+policy above raw storage — key allocation, priorities, query caching,
+telemetry aggregation — lives in the :class:`~fecam.store.CamStore`
+facade, so backends stay thin.  Words and queries arrive canonicalized
+('01X' / '01' strings of exactly ``width`` symbols); backends never
+normalize.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from ..errors import OperationError
 from .config import StoreConfig
 from .result import Match, QueryResult
 
-__all__ = ["SearchBackend", "make_backend"]
+__all__ = ["SearchBackend"]
 
 
 class SearchBackend(ABC):
@@ -95,14 +97,3 @@ class SearchBackend(ABC):
         """Search canonical binary queries; one result per query, in
         order, with matches in global priority order and exact
         energy/latency accounting (never cached at this layer)."""
-
-
-def make_backend(config: StoreConfig) -> SearchBackend:
-    """Instantiate the backend a resolved config asks for."""
-    from .array import ArrayBackend
-    from .fabric import FabricBackend
-
-    kind = config.backend_kind
-    if kind == "array":
-        return ArrayBackend(config)
-    return FabricBackend(config)

@@ -3,7 +3,7 @@
 One :class:`StoreConfig` value describes the full layout of an
 associative store — word width, total row capacity, bank count, the
 paper design pricing every operation, query caching, and key placement —
-so scaling a workload from one array to a sharded multi-bank fabric is a
+so scaling a workload from one bank to a sharded multi-bank fabric is a
 config edit, not a code change.  ``fidelity`` selects the metrics tier
 that prices operations (``"spice"`` ground truth — the default —
 ``"analytical"`` closed form, or ``"paper"`` published values), so a
@@ -22,8 +22,9 @@ from ..metrics.point import FIDELITIES
 
 __all__ = ["StoreConfig", "BACKEND_KINDS", "PLACEMENTS", "FIDELITIES"]
 
-#: Accepted ``StoreConfig.backend`` values. ``"auto"`` picks the array
-#: backend for a single bank and the fabric backend for several.
+#: Accepted ``StoreConfig.backend`` values.  Inert: all three build the
+#: one fabric backend (``"array"`` still insists on a single bank); the
+#: field survives only because the frozen ``benchmarks/e2e`` passes it.
 BACKEND_KINDS = ("auto", "array", "fabric")
 
 #: Accepted ``StoreConfig.placement`` values: ``"striped"`` places keys
@@ -71,7 +72,7 @@ class StoreConfig:
                 f"got {self.placement!r}")
         if self.backend == "array" and self.banks != 1:
             raise OperationError(
-                "the array backend holds exactly one bank; use "
+                "backend='array' means exactly one bank; use "
                 "backend='fabric' (or 'auto') for banks > 1")
         if self.width is not None and self.width < 1:
             raise OperationError("width must be positive")
@@ -102,13 +103,6 @@ class StoreConfig:
         if self.width is None:
             raise OperationError("width is not set; call resolved() first")
         return EnergyModel(self.design, self.width, fidelity=self.fidelity)
-
-    @property
-    def backend_kind(self) -> str:
-        """The backend ``"auto"`` resolves to: array iff one bank."""
-        if self.backend != "auto":
-            return self.backend
-        return "array" if self.banks == 1 else "fabric"
 
     @property
     def rows_per_bank(self) -> int:

@@ -1,25 +1,26 @@
 """Fabric backend: a sharded multi-bank :class:`TcamFabric` behind the
 store API.
 
-Scaling a store past one array is a config edit: the fabric broadcasts
-every query to all banks, merges matches with cross-bank
-priority-encoder semantics, and sums energy / maxes latency exactly as
-parallel hardware banks would.  The store facade owns query caching, so
-the wrapped fabric always runs with its own cache disabled — one cache,
-one invalidation policy, regardless of backend.
+The one in-process storage path: a one-bank store is a one-bank fabric,
+and scaling past it is a config edit.  The fabric broadcasts every
+query to all banks, merges matches with cross-bank priority-encoder
+semantics, and sums energy / maxes latency exactly as parallel hardware
+banks would.  It also owns every stored entry — the :class:`Match`
+records it keeps are the ones searches return — so this backend holds
+no key map of its own; query caching lives one level up, in the store
+facade.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Hashable, List, Optional, Sequence
 
-from ..errors import OperationError
-from ..fabric.fabric import FabricEntry, TcamFabric
+from ..fabric.fabric import Match, TcamFabric
 from ..fabric.shard import HashSharding
 from ..planes import TernaryPlanes
 from .backend import SearchBackend
 from .config import StoreConfig
-from .result import Match, Query, QueryResult
+from .result import Query, QueryResult
 
 __all__ = ["FabricBackend"]
 
@@ -32,9 +33,6 @@ class FabricBackend(SearchBackend):
     def __init__(self, config: StoreConfig, *,
                  arena: Optional[TernaryPlanes] = None):
         super().__init__(config)
-        if config.backend_kind != "fabric":
-            raise OperationError(
-                f"config resolves to the {config.backend_kind!r} backend")
         sharding = (HashSharding(config.banks)
                     if config.placement == "hash" else None)
         # ``arena`` threads the planes-over-foreign-buffers seam through
@@ -43,23 +41,16 @@ class FabricBackend(SearchBackend):
         self.fabric = TcamFabric(
             banks=config.banks, rows_per_bank=config.rows_per_bank,
             width=config.width, design=config.design, sharding=sharding,
-            energy_model=config.resolve_energy_model(), cache_size=0,
-            arena=arena)
-        self._matches: Dict[Hashable, Match] = {}
+            energy_model=config.resolve_energy_model(), arena=arena)
 
     # -- durable restore ----------------------------------------------------------
 
     def _adopt_placements(self, placements, *, write: bool) -> None:
-        entries = []
-        for key, word, priority, payload, seq, bank, row in placements:
-            entry = FabricEntry(key=key, word=word, priority=priority,
-                                bank=bank, row=row, payload=payload,
-                                seq=seq)
-            entries.append(entry)
-            self._matches[key] = Match(
-                key=key, word=word, priority=priority, bank=bank,
-                row=row, payload=payload, seq=seq)
-        self.fabric.adopt_entries(entries, write=write)
+        self.fabric.adopt_entries(
+            [Match(key=key, word=word, priority=priority, bank=bank,
+                   row=row, payload=payload, seq=seq)
+             for key, word, priority, payload, seq, bank, row
+             in placements], write=write)
 
     @classmethod
     def from_placements(cls, config: StoreConfig, placements, *,
@@ -94,8 +85,8 @@ class FabricBackend(SearchBackend):
 
     def _bank_for(self, seq: int) -> Optional[int]:
         # Striped placement overrides the fabric's hash sharding with
-        # round-robin-by-insertion-order (balanced occupancy, and the
-        # one-bank case lands every row exactly where ArrayBackend does).
+        # round-robin-by-insertion-order (balanced occupancy; one bank
+        # fills rows in insertion order).
         if self.config.placement == "striped":
             return seq % self.config.banks
         return None
@@ -118,72 +109,45 @@ class FabricBackend(SearchBackend):
 
     def insert(self, word: str, key: Hashable, priority: float,
                payload: Any, seq: int) -> Match:
-        entry = self.fabric.insert(word, key=key, priority=priority,
-                                   payload=payload,
-                                   bank=self._bank_for(seq))
-        match = Match(key=key, word=entry.word, priority=priority,
-                      bank=entry.bank, row=entry.row, payload=payload,
-                      seq=seq)
-        self._matches[key] = match
-        return match
+        return self.fabric.insert(word, key=key, priority=priority,
+                                  payload=payload,
+                                  bank=self._bank_for(seq), seq=seq)
 
     def insert_many(self, words: Sequence[str], keys: Sequence[Hashable],
                     priorities: Sequence[float], payloads: Sequence[Any],
                     seqs: Sequence[int]) -> List[Match]:
         banks = ([self._bank_for(seq) for seq in seqs]
                  if self.config.placement == "striped" else None)
-        entries = self.fabric.insert_many(
-            words, keys=list(keys), priorities=list(priorities),
-            payloads=list(payloads), banks=banks)
-        matches: List[Match] = []
-        for entry, priority, payload, seq in zip(entries, priorities,
-                                                 payloads, seqs):
-            match = Match(key=entry.key, word=entry.word,
-                          priority=priority, bank=entry.bank,
-                          row=entry.row, payload=payload, seq=seq)
-            self._matches[entry.key] = match
-            matches.append(match)
-        return matches
+        return self.fabric.insert_many(words, keys=keys,
+                                       priorities=priorities,
+                                       payloads=payloads, banks=banks,
+                                       seqs=seqs)
 
     def delete(self, key: Hashable) -> Match:
-        match = self.get(key)
-        self.fabric.delete(key)
-        del self._matches[key]
-        return match
+        return self.fabric.delete(key)
 
     def update(self, key: Hashable, word: str,
                payload: Any = None) -> Match:
-        match = self.get(key)
-        self.fabric.update(key, word, payload=payload)
-        match.word = word
-        if payload is not None:
-            match.payload = payload
-        return match
+        return self.fabric.update(key, word, payload=payload)
 
     def get(self, key: Hashable) -> Match:
-        try:
-            return self._matches[key]
-        except KeyError:
-            raise OperationError(f"no entry with key {key!r}") from None
+        return self.fabric.entry(key)
 
     def entries(self) -> List[Match]:
-        return sorted(self._matches.values(), key=lambda m: m.sort_key)
+        return self.fabric.entries()
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._matches
+        return key in self.fabric
 
     # -- search ------------------------------------------------------------------
 
     def search_batch(self, queries: Sequence[str],
                      mask: Optional[str] = None) -> List[QueryResult]:
         queries = list(queries)
-        if not queries:
-            return []
-        raw = self.fabric.search_batch(queries, mask, use_cache=False)
-        matches_of = self._matches
+        raw = self.fabric.search_batch(queries, mask)
         return [QueryResult(query=Query(bits=bits, mask=mask),
-                            matches=[matches_of[e.key] for e in r.matches],
-                            energy=r.energy, latency=r.latency)
+                            matches=r.matches, energy=r.energy,
+                            latency=r.latency)
                 for bits, r in zip(queries, raw)]
 
     def __repr__(self) -> str:

@@ -1,25 +1,22 @@
 """The store's uniform result model.
 
-Every backend answers every workload with the same three shapes:
+Every backend answers every workload with the same shapes:
 
 * :class:`Query` — what to search (bits plus an optional global mask);
-* :class:`Match` — one stored entry that matched, with its placement;
+* :class:`Match` — one stored entry that matched, with its placement
+  (the fabric's own entry record, re-exported here);
 * :class:`QueryResult` — the priority-ordered matches of one query plus
   the energy/latency actually paid to serve it;
 * :class:`StoreStats` — cumulative store telemetry.
-
-This replaces the historical split where array-backed apps spoke
-:class:`~fecam.functional.SearchStats` (bare row indices) and
-fabric-backed apps spoke :class:`~fecam.fabric.FabricSearchResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Hashable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import TernaryValueError
+from ..fabric.fabric import Match
 
 __all__ = ["Query", "Match", "LazyMatches", "QueryResult", "StoreStats"]
 
@@ -45,23 +42,6 @@ class Query:
         raise TernaryValueError(
             f"queries must be bit-strings or Query objects, "
             f"got {type(query).__name__}")
-
-
-@dataclass
-class Match:
-    """One stored entry that matched a query, with where it lives."""
-
-    key: Hashable
-    word: str
-    priority: float
-    bank: int
-    row: int
-    payload: Any = None
-    seq: int = 0  # insertion tiebreak for equal priorities
-
-    @property
-    def sort_key(self) -> Tuple[float, int]:
-        return (self.priority, self.seq)
 
 
 class LazyMatches(Sequence):
@@ -166,7 +146,7 @@ class QueryResult:
 class StoreStats:
     """Cumulative telemetry of one :class:`~fecam.store.CamStore`."""
 
-    backend: str            # "array" | "fabric"
+    backend: str            # "fabric" | "cluster"
     banks: int
     width: int
     capacity: int           # total rows

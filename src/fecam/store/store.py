@@ -1,4 +1,4 @@
-"""`CamStore` — one associative-store facade over every backend.
+"""`CamStore` — the one associative-store facade.
 
 The store owns the policy layer every workload used to hand-roll:
 
@@ -6,15 +6,14 @@ The store owns the policy layer every workload used to hand-roll:
   (insertion order by default, so the priority encoder preserves
   first-write-wins semantics);
 * word/query canonicalization, batch-first search entry points;
-* an LRU query-result cache with write-generation invalidation —
-  uniform across backends, so a single-array workload gains caching the
-  same way a sharded one does;
+* the LRU query-result cache with write-generation invalidation (the
+  only query cache in the stack);
 * cumulative telemetry (:class:`StoreStats`).
 
-Physical storage is a :class:`~fecam.store.SearchBackend`: one array
-(:class:`~fecam.store.ArrayBackend`) or a sharded multi-bank fabric
-(:class:`~fecam.store.FabricBackend`), chosen by
-:class:`~fecam.store.StoreConfig` — scaling is a config edit.
+Physical storage is a :class:`~fecam.store.SearchBackend`: a sharded
+multi-bank fabric (:class:`~fecam.store.FabricBackend`) laid out by
+:class:`~fecam.store.StoreConfig` — scaling from one bank to many is a
+config edit.
 
 >>> store = CamStore(StoreConfig(width=8, rows=4))
 >>> _ = store.insert("1010XXXX", key="rule-a")
@@ -40,8 +39,9 @@ from ..obs.trace import active as trace_active
 from ..obs.trace import record_span
 from ..obs.trace import stage as trace_stage
 from ..designs import DesignKind
-from .backend import SearchBackend, make_backend
+from .backend import SearchBackend
 from .config import StoreConfig
+from .fabric import FabricBackend
 from .result import Match, Query, QueryResult, StoreStats
 
 __all__ = ["CamStore"]
@@ -77,7 +77,7 @@ def _normalize_words(words: Sequence[str], width: int) -> List[str]:
 
 
 class CamStore:
-    """One associative store over an array or fabric backend."""
+    """One associative store over a fabric (or cluster) backend."""
 
     def __init__(self, config: Optional[StoreConfig] = None, *,
                  backend: Optional[SearchBackend] = None, **overrides):
@@ -86,8 +86,8 @@ class CamStore:
         ``CamStore(width=8, rows=64)`` and
         ``CamStore(StoreConfig(width=8, rows=64))`` are equivalent;
         overrides win over the config's fields.  ``backend`` injects a
-        pre-built backend (its config wins) — the hook legacy shims use
-        to adopt an existing array.
+        pre-built backend (its config wins) — how a recovered or
+        cluster-wrapped fabric gets its facade.
         """
         if backend is not None:
             if config is not None or overrides:
@@ -100,15 +100,15 @@ class CamStore:
             elif overrides:
                 config = replace(config, **overrides)
             config = config.resolved()
-            backend = make_backend(config)
+            backend = FabricBackend(config)
         self.config = config
         self._backend = backend
         self._cache: Optional[QueryCache] = (
             QueryCache(config.cache_size) if config.cache_size else None)
         self._generation = 0
-        # Start above any adopted entry's seq (pre-loaded backends key
-        # adopted rows by row index), so fresh inserts can never collide
-        # with — or outrank — adopted priorities/seqs.
+        # Start above any adopted entry's seq (an injected backend may
+        # arrive loaded), so fresh inserts can never collide with — or
+        # outrank — adopted priorities/seqs.
         self._seq = 1 + max((entry.seq for entry in backend.entries()),
                             default=-1)
         self._searches = 0

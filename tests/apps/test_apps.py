@@ -12,6 +12,7 @@ from fecam.apps import (Packet, Rule, SeedIndex, TcamCache, TcamClassifier,
                         parse_cidr, range_to_prefixes, vote_alignment)
 from fecam.cam import ternary_match
 from fecam.errors import OperationError
+from fecam.store import StoreConfig
 
 
 class TestRouterHelpers:
@@ -82,7 +83,7 @@ class TestRouterOnFabric:
     """Multi-bank / cached / batched router paths (fabric tier)."""
 
     def _random_router(self, rng, **kw):
-        router = TcamRouter(capacity=128, **kw)
+        router = TcamRouter(capacity=128, store_config=StoreConfig(**kw))
         router.add_route("0.0.0.0/0", "default")
         for i in range(40):
             net = rng.randrange(0, 1 << 32)
@@ -106,7 +107,8 @@ class TestRouterOnFabric:
         assert router.lookup_batch([]) == []
 
     def test_cache_serves_hot_lookups(self):
-        router = TcamRouter(capacity=8, banks=2, cache_size=8)
+        router = TcamRouter(capacity=8, store_config=StoreConfig(
+            banks=2, cache_size=8))
         router.add_route("10.0.0.0/8", "hop")
         router.lookup("10.1.1.1")
         energy = router.stats["energy_j"]
@@ -116,7 +118,7 @@ class TestRouterOnFabric:
         assert router.stats["cache_hits"] == 5
 
     def test_stats_keys_stable_before_first_lookup(self):
-        router = TcamRouter(banks=4)
+        router = TcamRouter(store_config=StoreConfig(banks=4))
         assert set(router.stats) == \
             {"searches", "energy_j", "banks", "cache_hits"}
 
@@ -131,7 +133,8 @@ class TestClassifierOnFabric:
 
     def test_multibank_matches_reference(self):
         rng = random.Random(31)
-        cl = TcamClassifier(banks=4, cache_size=16)
+        cl = TcamClassifier(store_config=StoreConfig(banks=4,
+                                                     cache_size=16))
         self._rules(cl)
         for _ in range(100):
             p = Packet(src_ip=rng.randrange(1 << 32),
@@ -143,7 +146,7 @@ class TestClassifierOnFabric:
 
     def test_classify_batch_matches_scalar(self):
         rng = random.Random(37)
-        cl = TcamClassifier(banks=3)
+        cl = TcamClassifier(store_config=StoreConfig(banks=3))
         self._rules(cl)
         packets = [Packet(src_ip=rng.randrange(1 << 32),
                           dst_ip=rng.randrange(1 << 32),
@@ -156,7 +159,7 @@ class TestClassifierOnFabric:
         assert cl.classify_batch([]) == []
 
     def test_priority_preserved_across_banks(self):
-        cl = TcamClassifier(banks=4)
+        cl = TcamClassifier(store_config=StoreConfig(banks=4))
         cl.add_rule(Rule(name="web", dst_port_range=(80, 443)))
         cl.add_rule(Rule(name="all", dst_port_range=(0, 65535)))
         p80 = Packet(src_ip=0, dst_ip=0, src_port=1, dst_port=80,

@@ -1,10 +1,11 @@
-"""Every application workload runs on both store backends.
+"""Every application workload runs on every store layout.
 
-Each app is parametrized over an array-backed config and a multi-bank
-fabric config (with query caching) and verified against its
-pure-software reference — the acceptance contract of the `fecam.store`
-redesign: sharding, batching, and caching are config edits that never
-change answers.
+Each app is parametrized over a one-bank config, a multi-bank config
+(with query caching), and the inert ``backend="array"`` spelling (one
+bank; kept while the frozen benchmark passes it) and verified against
+its pure-software reference — the acceptance contract of the
+`fecam.store` design: sharding, batching, and caching are config edits
+that never change answers.
 """
 
 import random
@@ -17,7 +18,7 @@ from fecam.apps import (HammingSearcher, OneShotClassifier, Packet, Rule,
 from fecam.store import StoreConfig
 
 CONFIGS = [
-    pytest.param(StoreConfig(), id="array"),
+    pytest.param(StoreConfig(backend="array"), id="array"),
     pytest.param(StoreConfig(banks=3, cache_size=16), id="fabric"),
     pytest.param(StoreConfig(banks=1, backend="fabric"),
                  id="fabric-1bank"),
@@ -39,7 +40,7 @@ class TestRouterOnBothBackends:
         assert [router.lookup(a) for a in addrs] == expected
         assert router.lookup_batch(addrs) == expected
         stats = router.store_stats
-        assert stats.backend == config.backend_kind
+        assert stats.backend == "fabric"
         assert stats.banks == config.banks
 
     def test_store_stats_telemetry(self, config):
@@ -72,7 +73,7 @@ class TestClassifierOnBothBackends:
         expected = [cl.classify_reference(p) for p in packets]
         assert [cl.classify(p) for p in packets] == expected
         assert cl.classify_batch(packets) == expected
-        assert cl.store_stats.backend == config.backend_kind
+        assert cl.store_stats.backend == "fabric"
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -132,7 +133,7 @@ class TestGenomicsOnBothBackends:
         ref = "".join(rng.choice("ACGT") for _ in range(200))
         idx = SeedIndex(ref, k=8, store_config=config)
         assert vote_alignment(ref[60:100], idx) == 60
-        assert idx.store_stats.backend == config.backend_kind
+        assert idx.store_stats.backend == "fabric"
 
 
 @pytest.mark.parametrize("config", CONFIGS)

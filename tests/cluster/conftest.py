@@ -11,9 +11,9 @@ Two shared pieces:
   evaluation in unit tests) and no query cache (bit-identity checks
   compare energy/latency, and cache hits legitimately cost zero).
 
-The worker start method follows ``FECAM_CLUSTER_START`` (CI runs the
-whole suite once under ``fork`` and once under ``spawn``); locally the
-platform default applies.
+The worker start method follows ``FECAM_CLUSTER_START``; unset, it is
+``spawn`` (safe beside the OpenMP kernel).  CI re-runs the suite under
+an explicit ``fork`` in the NumPy-kernel job, where forking is safe.
 """
 
 import pytest

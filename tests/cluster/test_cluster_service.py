@@ -1,8 +1,8 @@
 """ClusterService end-to-end: parity, routing, failure modes, telemetry.
 
-Real worker processes throughout — every test spawns (or forks) the
-pool, so this file is also the start-method compatibility gate CI runs
-under both ``fork`` and ``spawn``.
+Real worker processes throughout — every test spawns (or, under
+``FECAM_CLUSTER_START=fork``, forks) the pool, so this file is also the
+start-method compatibility gate CI runs under both.
 """
 
 import os
@@ -11,6 +11,7 @@ import signal
 import pytest
 
 from fecam.cluster import ClusterBackend, ClusterService
+from fecam.cluster import backend as cluster_backend
 from fecam.durable.crash import CrashPoint
 from fecam.errors import (ClusterWriterFailed, OperationError, ServiceClosed,
                           SimulatedCrash, TernaryValueError,
@@ -142,6 +143,66 @@ class TestWorkerDeath:
                 service.search_many(PROBES)
 
 
+def stop_worker(service, worker_id):
+    """SIGSTOP: the process stays alive and its pipe open, but it never
+    answers again — a wedged worker, not a dead one."""
+    process = service.backend._handles[worker_id].process
+    os.kill(process.pid, signal.SIGSTOP)
+    return process
+
+
+class TestWorkerHang:
+    """Hung != dead: a silent worker is a failed worker, and the failure
+    is typed — never a bare ``concurrent.futures.TimeoutError``."""
+
+    def test_stopped_worker_is_killed_and_respawned(
+            self, cluster_config, monkeypatch):
+        with ClusterService(config=cluster_config, workers=2,
+                            read_timeout=0.2) as service:
+            service.insert_many(WORDS, keys=KEYS)
+            backend = service.backend
+            before = backend.scatter_search(PROBES)  # workers have booted
+            # Short slack for the stopped worker only: its replacement's
+            # first request waits in the pipe while the interpreter
+            # boots, which is what the production slack is there for.
+            production_slack = cluster_backend.REPLY_SLACK_S
+            respawn = cluster_backend._WorkerHandle.respawn
+
+            def respawn_then_wait_normally(handle, hung=None):
+                respawn(handle, hung)
+                monkeypatch.setattr(cluster_backend, "REPLY_SLACK_S",
+                                    production_slack)
+
+            monkeypatch.setattr(cluster_backend, "REPLY_SLACK_S", 0.5)
+            monkeypatch.setattr(cluster_backend._WorkerHandle, "respawn",
+                                respawn_then_wait_normally)
+            hung_id = backend.ring.partition(PROBES)[0][0]
+            hung = stop_worker(service, hung_id)
+            after = backend.scatter_search(PROBES)
+            assert [row[1] for row in after] == [row[1] for row in before]
+            assert not hung.is_alive()
+            stats = {t["worker_id"]: t for t in service.worker_stats()}
+            assert stats[hung_id]["restarts"] == 1
+            assert stats[hung_id]["alive"]
+            assert stats[hung_id]["pid"] != hung.pid
+
+    def test_stopped_worker_without_respawn_rehashes_or_raises_typed(
+            self, cluster_config, monkeypatch):
+        with ClusterService(config=cluster_config, workers=2,
+                            respawn=False, read_timeout=0.2) as service:
+            service.insert_many(WORDS, keys=KEYS)
+            backend = service.backend
+            before = backend.scatter_search(PROBES)  # workers have booted
+            monkeypatch.setattr(cluster_backend, "REPLY_SLACK_S", 0.5)
+            first = stop_worker(service, 0)
+            after = backend.scatter_search(PROBES)
+            assert [row[1] for row in after] == [row[1] for row in before]
+            assert backend.ring.nodes == [1] and not first.is_alive()
+            stop_worker(service, 1)
+            with pytest.raises(WorkerUnavailable):
+                backend.scatter_search(PROBES)
+
+
 class TestWriterDeath:
     def test_writes_fail_fast_reads_keep_serving(self, service):
         service.insert_many(WORDS, keys=KEYS)
@@ -228,10 +289,19 @@ class TestLifecycle:
         finally:
             backend.close()
 
-    def test_non_fabric_config_rejected(self):
-        with pytest.raises(OperationError):
-            ClusterBackend(make_config(banks=1, backend="array"),
-                           workers=1)
+    def test_one_bank_store_is_adopted(self):
+        # A one-bank store is a one-bank fabric, however it is spelled.
+        store = CamStore(make_config(banks=1, backend="array"))
+        store.insert_many(WORDS, keys=KEYS)
+        backend = ClusterBackend.from_store(store, workers=1)
+        try:
+            for probe in PROBES:
+                expected = store.search(probe, use_cache=False)
+                got = backend.search_batch([probe])[0]
+                assert got.match_keys == expected.match_keys
+                assert got.energy == expected.energy
+        finally:
+            backend.close()
 
     def test_start_method_round_trips(self, cluster_config):
         method = service_method = None

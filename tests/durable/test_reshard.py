@@ -47,15 +47,15 @@ class TestInlineReshard:
         assert_stores_identical(store, recovered)
         recovered.close()
 
-    def test_shrink_to_one_bank_becomes_array(self, wal_dir):
+    def test_shrink_to_one_bank(self, wal_dir):
         store = make_durable(wal_dir)
         populate(store, n=6)
         reshard_inline(store, banks=1)
-        assert store.backend.name == "array"
+        assert store.backend.fabric.num_banks == 1
         store.insert("1" * WIDTH, key="post")
         store.close()
         recovered = recover(wal_dir, fsync="off")
-        assert recovered.backend.name == "array"
+        assert recovered.backend.fabric.num_banks == 1
         assert_stores_identical(store, recovered)
         recovered.close()
 

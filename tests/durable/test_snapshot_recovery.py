@@ -134,16 +134,16 @@ class TestRecovery:
         assert sorted(m.key for m in again.entries()) == ["a", "b"]
         again.close()
 
-    def test_array_backend_roundtrip(self, wal_dir):
+    def test_one_bank_roundtrip(self, wal_dir):
         config = make_config(banks=1)
         store = make_durable(wal_dir, config)
-        assert store.backend.name == "array"
+        assert store.backend.fabric.num_banks == 1
         store.insert("1010XXXX", key="a", priority=3.0)
         store.insert("0101XXXX", key="b", priority=1.0)
         store.update("a", "1111XXXX")
         store.close()
         recovered = recover(wal_dir, fsync="off")
-        assert recovered.backend.name == "array"
+        assert recovered.backend.fabric.num_banks == 1
         assert_stores_identical(store, recovered)
         recovered.close()
 

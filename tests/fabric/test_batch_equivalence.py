@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from fecam.designs import DesignKind
 from fecam.fabric import TcamFabric
 from fecam.fabric.batch import (batch_count_matches, fused_count_matches,
-                                normalize_queries, pack_queries,
-                                search_packed_batch)
+                                normalize_queries, pack_queries)
 from fecam.functional import EnergyModel, TernaryCAM, pack_words
 
 
@@ -74,33 +73,6 @@ def test_search_batch_equals_sequential_loop(data):
     seq_pb = [t.__dict__ for t in looped.stats.per_bank]
     bat_pb = [t.__dict__ for t in batched.stats.per_bank]
     assert seq_pb == bat_pb
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_search_packed_batch_equals_scalar_loop(data):
-    """Bank-level kernel: SearchStats streams are field-for-field equal."""
-    width = data.draw(st.sampled_from([8, 64, 100]), label="width")
-    rows = data.draw(st.integers(1, 24), label="rows")
-    rng = random.Random(data.draw(st.integers(0, 2**31), label="seed"))
-    n_words = rng.randrange(0, rows + 1)
-    queries = ["".join(rng.choice("01") for _ in range(width))
-               for _ in range(rng.randrange(1, 30))]
-
-    cam_a = TernaryCAM(rows=rows, width=width,
-                       energy_model=fast_model(width))
-    cam_b = TernaryCAM(rows=rows, width=width,
-                       energy_model=fast_model(width))
-    for row in range(n_words):
-        word = "".join(rng.choice("01XX") for _ in range(width))
-        cam_a.write(row, word)
-        cam_b.write(row, word)
-
-    packed = pack_queries(queries, width)
-    scalar = [cam_a.search(q) for q in queries]
-    batch = search_packed_batch(cam_b, packed)
-    assert [s.__dict__ for s in scalar] == [s.__dict__ for s in batch]
-    assert cam_a.energy_spent == cam_b.energy_spent
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,4 +1,4 @@
-"""Tests for the multi-bank fabric: lifecycle, priority merge, cache."""
+"""Tests for the multi-bank fabric: lifecycle, priority merge, stats."""
 
 import pytest
 
@@ -70,6 +70,21 @@ class TestLifecycle:
         assert bulk.search("10101111").match_keys == \
             loop.search("10101111").match_keys
 
+    def test_caller_sequence_numbers_are_the_records(self):
+        fabric = make(banks=2)
+        first = fabric.insert("XXXXXXXX", key="a", seq=7, bank=0)
+        assert (first.seq, first.priority) == (7, 7)
+        # The fabric's own counter continues above a caller's seq.
+        assert fabric.insert("XXXXXXXX", key="b").seq == 8
+        bulk = fabric.insert_many(["XXXXXXXX"] * 2, keys=["c", "d"],
+                                  seqs=[20, 3], priorities=[1, 1])
+        assert [e.seq for e in bulk] == [20, 3]
+        assert fabric.insert("XXXXXXXX").key == ("auto", 21)
+        # Equal priorities tie-break on the caller's seq.
+        assert fabric.search("00000000").match_keys[:2] == ["d", "c"]
+        with pytest.raises(OperationError):
+            fabric.insert_many(["XXXXXXXX"], seqs=[1, 2])
+
     def test_explicit_bank_placement(self):
         fabric = make(banks=3)
         entry = fabric.insert("10101010", key="k", bank=2)
@@ -136,54 +151,6 @@ class TestSharding:
             make(banks=4, sharding=HashSharding(2))
 
 
-class TestQueryCache:
-    def test_repeat_query_is_cached_and_free(self):
-        fabric = make(cache_size=8)
-        fabric.insert("1010XXXX", key="a")
-        first = fabric.search("10101111")
-        energy_after_first = fabric.stats.energy_total
-        second = fabric.search("10101111")
-        assert not first.cached and second.cached
-        assert second.match_keys == first.match_keys
-        assert second.energy == 0.0  # no array fired for a hit
-        assert second.latency == 0.0
-        assert fabric.stats.energy_total == energy_after_first  # no new J
-        assert fabric.stats.cache_hits == 1
-
-    def test_write_invalidates(self):
-        fabric = make(cache_size=8)
-        fabric.insert("1010XXXX", key="a")
-        fabric.search("10101111")
-        fabric.insert("10101111", key="b")  # write to some bank
-        result = fabric.search("10101111")
-        assert not result.cached
-        assert set(result.match_keys) == {"a", "b"}
-
-    def test_batch_uses_cache_for_duplicates(self):
-        fabric = make(cache_size=8)
-        fabric.insert("1010XXXX", key="a")
-        results = fabric.search_batch(["10101111"] * 5 + ["00000000"])
-        assert [r.cached for r in results] == \
-            [False, True, True, True, True, False]
-        assert all(r.match_keys == ["a"] for r in results[:5])
-        assert fabric.stats.cache_hits == 4
-
-    def test_use_cache_false_bypasses(self):
-        fabric = make(cache_size=8)
-        fabric.insert("1010XXXX")
-        fabric.search("10101111")
-        result = fabric.search("10101111", use_cache=False)
-        assert not result.cached
-
-    def test_mask_is_part_of_cache_key(self):
-        fabric = make(cache_size=8)
-        fabric.insert("11110000", key="a")
-        miss = fabric.search("11110011")
-        hit = fabric.search("11110011", mask="11111100")
-        assert miss.matches == [] and hit.match_keys == ["a"]
-        assert not hit.cached
-
-
 class TestStats:
     def test_snapshot_counts(self):
         fabric = make(banks=2)
@@ -192,7 +159,6 @@ class TestStats:
         fabric.search_batch(["11111111", "00001111"], use_cache=False)
         stats = fabric.stats
         assert stats.searches == 3
-        assert stats.array_searches == 3
         assert stats.occupancy == 1
         assert stats.num_banks == 2
         assert len(stats.per_bank) == 2

@@ -5,14 +5,13 @@ store contract — write/erase/update/search/search_batch/stats/cache
 semantics.  This suite is that contract, written once and run over
 every supported backend configuration through a parametrized fixture:
 
-* ``array``    — :class:`ArrayBackend` (one :class:`TernaryCAM`);
 * ``fabric-1`` — :class:`FabricBackend` with a single bank;
 * ``fabric-4`` — :class:`FabricBackend` sharded over four banks;
 * ``cluster``  — :class:`~fecam.cluster.ClusterBackend`: the same
   fabric behind a shared-memory arena, searches served by two worker
   *processes* over zero-copy views.  Running the identical battery
   proves the multi-process path is bit-identical — matches, energy,
-  latency, counters — to the in-process backends.
+  latency, counters — to the in-process backend.
 
 Adding a backend (or a bank count) to ``BACKEND_CONFIGS`` runs the
 whole battery against it with zero new test code — the replacement for
@@ -25,19 +24,16 @@ from fecam.cluster import ClusterBackend
 from fecam.designs import DesignKind
 from fecam.errors import OperationError, TernaryValueError
 from fecam.functional import EnergyModel
-from fecam.store import (ArrayBackend, CamStore, FabricBackend, Query,
-                         StoreConfig)
+from fecam.store import CamStore, FabricBackend, Query, StoreConfig
 
 #: Every backend configuration the battery must pass on.
 BACKEND_CONFIGS = [
-    pytest.param(dict(backend="array", banks=1), id="array"),
     pytest.param(dict(backend="fabric", banks=1), id="fabric-1"),
     pytest.param(dict(backend="fabric", banks=4), id="fabric-4"),
     pytest.param(dict(backend="cluster", banks=2), id="cluster"),
 ]
 
-_EXPECTED_BACKEND = {"array": ArrayBackend, "fabric": FabricBackend,
-                     "cluster": ClusterBackend}
+_EXPECTED_BACKEND = {"fabric": FabricBackend, "cluster": ClusterBackend}
 
 
 def fast_model(width):
@@ -91,6 +87,20 @@ class TestBackendSelection:
                           _EXPECTED_BACKEND[backend_kw["backend"]])
         assert store.banks == backend_kw["banks"]
         assert store.stats.backend == store.backend.name
+
+    @pytest.mark.parametrize("spelling", ["array", "auto"])
+    def test_every_config_spelling_builds_the_one_backend(self, spelling):
+        """``StoreConfig.backend`` is inert (the frozen benchmark still
+        passes it): every spelling builds a working fabric store."""
+        store = CamStore(StoreConfig(width=8, rows=4, backend=spelling,
+                                     energy_model=fast_model(8)))
+        assert isinstance(store.backend, FabricBackend)
+        assert store.banks == 1 and store.stats.backend == "fabric"
+        store.insert("1010XXXX", key="a")
+        store.insert("10101111", key="b")
+        assert store.search("10101111").match_keys == ["a", "b"]
+        assert [(m.bank, m.row) for m in store.entries()] == \
+            [(0, 0), (0, 1)]
 
 
 class TestWriteEraseUpdate:
@@ -303,3 +313,12 @@ class TestCacheSemantics:
         store.search("10101111")
         result = store.search("10101111", use_cache=False)
         assert not result.cached and result.energy > 0
+
+    def test_mask_is_part_of_cache_key(self, store_factory):
+        store = store_factory(cache_size=8)
+        store.insert("11110000", key="a")
+        miss = store.search("11110011")
+        hit = store.search("11110011", mask="11111100")
+        assert miss.match_keys == [] and hit.match_keys == ["a"]
+        assert not hit.cached
+        assert store.search("11110011", mask="11111100").cached

@@ -3,17 +3,17 @@ resolution, the result model, backend injection, and reprs.
 
 The per-backend write/erase/update/search/search_batch/stats/cache
 battery lives in ``tests/store/test_backend_conformance.py``, which
-runs one shared suite over ``ArrayBackend``, ``FabricBackend(banks=1)``,
-and ``FabricBackend(banks=4)`` — add backend behavior tests there, not
-here."""
+runs one shared suite over ``FabricBackend(banks=1)``,
+``FabricBackend(banks=4)`` and the cluster — add backend behavior tests
+there, not here."""
 
 import pytest
 
 from fecam.designs import DesignKind
 from fecam.errors import OperationError, TernaryValueError
 from fecam.functional import EnergyModel, TernaryCAM
-from fecam.store import (ArrayBackend, CamStore, FabricBackend, Match,
-                         Query, QueryResult, StoreConfig, make_backend)
+from fecam.store import (CamStore, FabricBackend, Match, Query,
+                         QueryResult, StoreConfig)
 
 
 def fast_model(width):
@@ -40,12 +40,6 @@ class TestStoreConfig:
         with pytest.raises(OperationError):
             StoreConfig(rows=0)
 
-    def test_auto_backend_resolution(self):
-        assert StoreConfig(banks=1).backend_kind == "array"
-        assert StoreConfig(banks=4).backend_kind == "fabric"
-        assert StoreConfig(banks=1, backend="fabric").backend_kind == \
-            "fabric"
-
     def test_resolved_fills_missing_only(self):
         config = StoreConfig(width=16).resolved(width=8, rows=32)
         assert config.width == 16  # explicit value wins
@@ -55,12 +49,6 @@ class TestStoreConfig:
 
     def test_rows_per_bank_rounds_up(self):
         assert StoreConfig(rows=10, banks=4).rows_per_bank == 3
-
-    def test_factory_picks_backend(self):
-        array = make_backend(StoreConfig(width=8, rows=4))
-        fabric = make_backend(StoreConfig(width=8, rows=4, banks=2))
-        assert isinstance(array, ArrayBackend)
-        assert isinstance(fabric, FabricBackend)
 
 
 class TestQueryModel:
@@ -80,39 +68,39 @@ class TestQueryModel:
         empty = QueryResult(query=Query("10"))
         assert empty.best is None and bool(empty)
 
+    def test_match_is_the_fabrics_entry_record(self):
+        from fecam.fabric import Match as FabricMatch
+
+        assert Match is FabricMatch
+        store = CamStore(StoreConfig(width=8, rows=4,
+                                     energy_model=fast_model(8)))
+        inserted = store.insert("1010XXXX", key="a")
+        # One record per entry: what insert returns, what the fabric
+        # stores, and what a search yields are the same object.
+        assert inserted is store.get("a")
+        assert inserted is store.backend.fabric.entry("a")
+        assert store.search("10101111").matches[0] is inserted
+
 
 class TestBackendInjection:
-    def test_adopted_cam_preserves_content(self):
-        cam = TernaryCAM(rows=4, width=8, energy_model=fast_model(8))
-        cam.write(1, "1010XXXX")
-        backend = ArrayBackend(
-            StoreConfig(width=8, rows=4,
-                        energy_model=fast_model(8)), cam=cam)
-        store = CamStore(backend=backend)
-        assert len(store) == 1
-        assert store.search_first("10101111").key == 1
-        store.insert("0101XXXX", key="new")  # rows 0/2/3 still free
-        assert store.search("01011111").match_keys == ["new"]
-
     def test_backend_plus_config_rejected(self):
         config = StoreConfig(width=8, rows=4)
-        backend = make_backend(config.resolved())
+        backend = FabricBackend(config.resolved())
         with pytest.raises(OperationError):
             CamStore(config, backend=backend)
 
-    def test_sparse_adopted_cam_never_outranked_by_new_inserts(self):
-        cam = TernaryCAM(rows=8, width=8, energy_model=fast_model(8))
-        cam.write(0, "XXXXXXXX")
-        cam.write(5, "XXXXXXXX")  # sparse: occupancy 2, max seq 5
-        backend = ArrayBackend(
-            StoreConfig(width=8, rows=8,
-                        energy_model=fast_model(8)), cam=cam)
-        store = CamStore(backend=backend)
+    def test_injected_backend_continues_the_sequence(self):
+        config = StoreConfig(width=8, rows=8, energy_model=fast_model(8))
+        placements = [("old0", "XXXXXXXX", 0, None, 0, 0, 0),
+                      ("old5", "XXXXXXXX", 5, None, 5, 0, 5)]
+        store = CamStore(
+            backend=FabricBackend.from_placements(config, placements))
         fresh = store.insert("XXXXXXXX", key="fresh")
-        # Fresh entries sort strictly after every adopted row: no
-        # priority collision, no outranking of adopted row 5.
+        # Fresh entries sort strictly after every adopted one: no
+        # priority collision, no outranking of adopted seq 5.
         assert fresh.priority > 5 and fresh.seq > 5
-        assert store.search("11111111").match_keys == [0, 5, "fresh"]
+        assert store.search("11111111").match_keys == \
+            ["old0", "old5", "fresh"]
 
     def test_geometry_conflicts_rejected_at_construction(self):
         from fecam.apps import SeedIndex, TcamCache, TcamRouter
@@ -159,10 +147,10 @@ class TestContainersAndReprs:
         from fecam.fabric import TcamFabric
 
         fabric = TcamFabric(banks=2, rows_per_bank=4, width=8,
-                            energy_model=fast_model(8), cache_size=8)
+                            energy_model=fast_model(8))
         fabric.insert("1010XXXX", key="a")
         text = repr(fabric)
-        assert "banks=2" in text and "1/8" in text and "cache=" in text
+        assert "banks=2" in text and "1/8" in text
         assert str(DesignKind.DG_1T5) in text
         assert "a" in fabric and len(fabric) == 1
 
