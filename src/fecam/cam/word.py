@@ -421,6 +421,12 @@ def simulate_word_search(design: DesignKind, n_bits: int = 64,
         # as good as a full WordTimings plan.
         timings = WordTimings(**dict(timings))
     timings = (timings or WordTimings()).for_design(design, n_bits)
+    if design.uses_two_step_search and timings.t_gap <= timings.t_trans_lines:
+        # Step 2's query edge starts t_gap after step 1's ends; a gap no
+        # longer than the line edge would overlap the two.
+        raise OperationError(
+            f"{design}: t_gap ({timings.t_gap:g} s) must exceed "
+            f"t_trans_lines ({timings.t_trans_lines:g} s)")
     builder = _WordBuilder(design, stored, query, scenario, timings)
     ckt = builder.build()
     result = transient(ckt, builder.t_end,

@@ -32,9 +32,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from ..errors import CalibrationError
-from ..spice.netlist import Element, TerminalVoltages
+from ..spice.netlist import (REC_CAP, REC_FET, REC_POL, Element,
+                             TerminalVoltages)
 from ..units import thermal_voltage
-from .ferroelectric import FerroParams, FerroelectricLayer
+from .ferroelectric import _MAX_EXPONENT, FerroParams, FerroelectricLayer
 from .mosfet import ekv_f, ekv_f_prime
 
 __all__ = ["FeFetParams", "FeFet", "VT_STATES", "state_to_s", "s_to_state"]
@@ -323,6 +324,30 @@ class FeFet(Element):
             e = self.fe_field(v[0], v[1], v[2])
             self.layer.advance(e, self._commit_dt)
             self._commit_dt = 0.0
+
+    def record(self):
+        p = self.params
+        ferro = self.layer.params
+        idx = self._node_index
+        s_slot = len(self._cap_pairs)
+        rows = [(REC_FET, idx, (p.k_bg, p.vth_mid, p.mw_fg, p.n,
+                                p.i_spec * self.multiplier, p.lambda_clm,
+                                self._vt, p.i_leak * self.multiplier), s_slot)]
+        rows += [(REC_CAP, (idx[a], -1 if b < 0 else idx[b]),
+                  (c * self.multiplier,), k)
+                 for k, (a, b, c) in enumerate(self._cap_pairs)]
+        rows.append((REC_POL, idx[:3], (
+            p.kappa_fe, p.ferro.t_fe, ferro.e_activation, ferro.alpha,
+            ferro.tau0, ferro.e_smooth, ferro.area * ferro.ps * 2.0,
+            self.multiplier, self._FD_STEP, _MAX_EXPONENT,
+            math.log10(_MAX_EXPONENT)), s_slot))
+        state = [self._q_committed[(a, b)] for a, b, _ in self._cap_pairs]
+        return rows, state + [self.layer.s]
+
+    def load_state(self, state) -> None:
+        *charges, self.layer.s = state
+        for (a, b, _), q in zip(self._cap_pairs, charges):
+            self._q_committed[(a, b)] = q
 
     # -- read disturb (SG-FeFET) --------------------------------------------------------
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
 from ..errors import CalibrationError
-from ..spice.netlist import Element, TerminalVoltages
+from ..spice.netlist import REC_CAP, REC_MOS, Element, TerminalVoltages
 from ..units import thermal_voltage
 
 __all__ = ["MosfetParams", "Mosfet", "softplus", "ekv_f", "ekv_f_prime"]
@@ -230,6 +230,21 @@ class Mosfet(Element):
     def commit(self, v: TerminalVoltages) -> None:
         for (a, b, c) in self._cap_pairs:
             self._q_committed[(a, b)] = c * self.multiplier * (v[a] - v[b])
+
+    def record(self):
+        p = self.params
+        idx = self._node_index
+        rows = [(REC_MOS, idx, (float(p.polarity), p.vth, p.n,
+                                p.i_spec * self.multiplier, p.lambda_clm,
+                                self._vt), -1)]
+        rows += [(REC_CAP, (idx[a], idx[b]), (c * self.multiplier,), k)
+                 for k, (a, b, c) in enumerate(self._cap_pairs)]
+        return rows, [self._q_committed[(a, b)]
+                      for a, b, _ in self._cap_pairs]
+
+    def load_state(self, state) -> None:
+        for (a, b, _), q in zip(self._cap_pairs, state):
+            self._q_committed[(a, b)] = q
 
     # -- convenience -----------------------------------------------------------
 

@@ -1,14 +1,18 @@
-"""fecam.kernels — the pluggable compiled hot path for the match kernel.
+"""fecam.kernels — the pluggable compiled hot paths.
 
-The fused two-step match kernel (:func:`fecam.fabric.batch.
-fused_count_matches`) has two interchangeable backends:
+One C translation unit (``_kernel.c``), built on demand by the host's C
+compiler (:mod:`fecam.kernels.build`) and driven through ctypes
+(:mod:`fecam.kernels.compiled`), serves two callers:
 
-* ``numpy`` — the existing vectorized NumPy evaluation (candidate-index
-  and dense strategies); always available.
-* ``compiled`` — a C kernel built on demand by the host's C compiler
-  (:mod:`fecam.kernels.build`) and driven through ctypes
-  (:mod:`fecam.kernels.compiled`); bit-identical counts and match
-  order, several times faster, releases the GIL while scanning.
+* the fused two-step match kernel (:func:`fecam.fabric.batch.
+  fused_count_matches`), whose ``numpy`` backend is the existing
+  vectorized NumPy evaluation (candidate-index and dense strategies);
+  the compiled one returns bit-identical counts and match order,
+  several times faster, and releases the GIL while scanning;
+* the SPICE engine's MNA assembly (:mod:`fecam.spice.analysis`), whose
+  Python twin is each element's ``stamp()``; the compiled stamp table
+  produces a bit-identical Jacobian and residual in one call per Newton
+  iteration.
 
 Selection is lazy and process-wide.  ``FECAM_KERNEL`` picks the policy:
 
@@ -113,8 +117,8 @@ def active_kernel() -> Optional["CompiledKernel"]:
     """The compiled kernel if the active policy selects it, else None.
 
     This is the hot-path query: the fused kernel calls it once per
-    batch.  After the first resolution it is a couple of attribute
-    reads.
+    batch, the SPICE engine once per analysis.  After the first
+    resolution it is a couple of attribute reads.
     """
     policy = _policy()
     if policy == "numpy":

@@ -1,6 +1,6 @@
-/* fecam compiled match kernel.
+/* fecam compiled kernels: the two-step match and MNA stamping.
  *
- * The two-step ternary match over the valid-compacted, bit-compressed
+ * Part 1 is the two-step ternary match over the valid-compacted, bit-compressed
  * derived planes (see fecam/planes.py):
  *
  *   step 1 (even cell positions):  (qe & ce) == ve
@@ -25,15 +25,20 @@
  *
  * The omp pragmas are active only when built with -fopenmp; without
  * it they are ignored and the kernel runs single-threaded.
+ *
+ * Part 2 (fecam_mna_*, at the end of the file) assembles the SPICE
+ * engine's Jacobian and residual; see the comment there.
  */
 
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define FECAM_API __attribute__((visibility("default")))
 
 /* Bumped whenever an exported signature changes; the Python side
  * refuses a library whose ABI does not match. */
-#define FECAM_KERNEL_ABI 3
+#define FECAM_KERNEL_ABI 4
 
 FECAM_API int64_t fecam_kernel_abi(void) { return FECAM_KERNEL_ABI; }
 
@@ -306,6 +311,327 @@ FECAM_API void fecam_fill_matches_sparse(
                 match_rows[slot] = valid_rows[m];
                 slot++;
             }
+        }
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* MNA stamping for the SPICE engine (fecam/spice/analysis.py).
+ *
+ * The circuit arrives as a flat table built once per analysis: one
+ * 7-int64 row per stamp record, {kind, n0, n1, n2, n3, poff, soff},
+ * with unknown indices in n0..n3 (-1 is ground), the record's
+ * parameters at par + poff and its integration state at state + soff.
+ * The element classes' record() methods write the rows, in circuit
+ * order; a MOSFET is its channel row followed by its five capacitor
+ * rows, a FeFET its channel row, seven capacitor rows, then the
+ * polarization row.
+ *
+ * Contract: J and F are bit-identical to the per-element Python
+ * stamp() loop.  Every contribution is added in the order stamp()
+ * adds it, every expression keeps Python's operand order, and the
+ * transcendental functions are the libm ones CPython's math module
+ * calls.  That holds only while the compiler neither reassociates nor
+ * contracts a*b + c into an FMA: build.py passes -ffp-contract=off and
+ * never -ffast-math.
+ */
+
+enum { MNA_RES = 1, MNA_CAP, MNA_VSRC, MNA_MOS, MNA_FET, MNA_POL };
+#define MNA_ROW 7
+
+/* Unknown k of the iterate, 0.0 for ground (TerminalVoltages). */
+#define MNA_V(k) ((k) < 0 ? 0.0 : x[k])
+
+static inline void add_j(double *J, int64_t n, int64_t r, int64_t c,
+                         double v) {
+    if (r >= 0 && c >= 0)
+        J[r * n + c] += v;
+}
+
+static inline void add_f(double *F, int64_t r, double v) {
+    if (r >= 0)
+        F[r] += v;
+}
+
+/* A two-terminal conductance g between a and b (resistor, capacitor
+ * companion): the four Jacobian entries in stamp() order. */
+static inline void add_g(double *J, int64_t n, int64_t a, int64_t b,
+                         double g) {
+    add_j(J, n, a, a, g);
+    add_j(J, n, a, b, -g);
+    add_j(J, n, b, a, -g);
+    add_j(J, n, b, b, g);
+}
+
+/* fecam.devices.mosfet.softplus / _sigmoid / ekv_f / ekv_f_prime. */
+static inline double softplus(double x) {
+    if (x > 40.0) return x;
+    if (x < -40.0) return exp(x);
+    return log1p(exp(x));
+}
+
+static inline double sigmoid(double x) {
+    if (x > 40.0) return 1.0;
+    if (x < -40.0) return exp(x);
+    return 1.0 / (1.0 + exp(-x));
+}
+
+static inline double ekv_f(double u) {
+    const double s = softplus(u / 2.0);
+    return s * s;
+}
+
+static inline double ekv_f_prime(double u) {
+    return softplus(u / 2.0) * sigmoid(u / 2.0);
+}
+
+/* Channel rows stamp the drain-source current and its four partial
+ * derivatives (columns in the element's terminal order). */
+static inline void stamp_channel(double *J, double *F, int64_t n,
+                                 const int64_t *nd, int64_t i_d,
+                                 int64_t i_s, double ids, const double *g) {
+    add_f(F, i_d, ids);
+    add_f(F, i_s, -ids);
+    for (int k = 0; k < 4; k++) {
+        add_j(J, n, i_d, nd[k], g[k]);
+        add_j(J, n, i_s, nd[k], -g[k]);
+    }
+}
+
+/* Mosfet._ids_and_derivs + stamp (terminals d, g, s, b).
+ * par: sign, vth, n, i_s (i_spec * multiplier), lambda_clm, vt. */
+static void stamp_mos(double *J, double *F, int64_t n, const int64_t *nd,
+                      const double *p, const double *x) {
+    const double vd = MNA_V(nd[0]), vg = MNA_V(nd[1]);
+    const double vs = MNA_V(nd[2]), vb = MNA_V(nd[3]);
+    const double sign = p[0], vth = p[1], slope = p[2], i_s = p[3];
+    const double lam = p[4], vt = p[5];
+    const double vdb = sign * (vd - vb);
+    const double vgb = sign * (vg - vb);
+    const double vsb = sign * (vs - vb);
+    const double vp = (vgb - sign * vth) / slope;
+    const double uf = (vp - vsb) / vt;
+    const double ur = (vp - vdb) / vt;
+    const double f_f = ekv_f(uf), f_r = ekv_f(ur);
+    const double fp_f = ekv_f_prime(uf), fp_r = ekv_f_prime(ur);
+    const double vds = vdb - vsb;
+    const double vds_smooth = sqrt(vds * vds + 1e-6);
+    const double clm = 1.0 + lam * vds_smooth;
+    const double dclm_dvds = lam * vds / vds_smooth;
+    const double core = f_f - f_r;
+    const double ids = i_s * core * clm;
+    const double d_dvg = i_s * clm * (fp_f - fp_r) / (slope * vt);
+    const double d_dvs = i_s * (-clm * fp_f / vt - core * dclm_dvds);
+    const double d_dvd = i_s * (clm * fp_r / vt + core * dclm_dvds);
+    double g[4];
+    g[0] = sign * d_dvd * sign;
+    g[1] = sign * d_dvg * sign;
+    g[2] = sign * d_dvs * sign;
+    g[3] = -(g[0] + g[1] + g[2]);
+    stamp_channel(J, F, n, nd, nd[0], nd[2], sign * ids, g);
+}
+
+/* FeFet._ids_and_derivs + the channel half of stamp (terminals fg, d,
+ * s, bg).  par: k_bg, vth_mid, mw_fg, n, i_s, lambda_clm, vt, i_leak
+ * (times multiplier); s is the committed domain fraction. */
+static void stamp_fet(double *J, double *F, int64_t n, const int64_t *nd,
+                      const double *p, double s, const double *x) {
+    const double v_fg = MNA_V(nd[0]), v_d = MNA_V(nd[1]);
+    const double v_s = MNA_V(nd[2]), v_bg = MNA_V(nd[3]);
+    const double k_bg = p[0], vth_mid = p[1], mw_fg = p[2], slope = p[3];
+    const double i_s = p[4], lam = p[5], vt = p[6], i_leak = p[7];
+    const double vth_eff = vth_mid - (s - 0.5) * mw_fg;
+    const double vp = (v_fg + k_bg * v_bg - vth_eff) / slope;
+    const double uf = (vp - v_s) / vt;
+    const double ur = (vp - v_d) / vt;
+    const double f_f = ekv_f(uf), f_r = ekv_f(ur);
+    const double fp_f = ekv_f_prime(uf), fp_r = ekv_f_prime(ur);
+    const double vds = v_d - v_s;
+    const double vds_smooth = sqrt(vds * vds + 1e-6);
+    const double clm = 1.0 + lam * vds_smooth;
+    const double dclm = lam * vds / vds_smooth;
+    const double core = f_f - f_r;
+    double ids = i_s * core * clm;
+    const double dvp = (fp_f - fp_r) / (slope * vt);
+    double g[4];
+    g[0] = i_s * clm * dvp;
+    g[3] = i_s * clm * dvp * k_bg;
+    g[2] = i_s * (-clm * fp_f / vt - core * dclm);
+    g[1] = i_s * (clm * fp_r / vt + core * dclm);
+    if (i_leak > 0.0) {
+        const double xl = vds / (2.0 * vt);
+        /* max(-60.0, min(60.0, xl)) with Python's tie rules. */
+        double xc = xl < 60.0 ? xl : 60.0;
+        xc = xc > -60.0 ? xc : -60.0;
+        const double t = tanh(xc);
+        ids += i_leak * t;
+        const double g_leak = i_leak * (1.0 - t * t) / (2.0 * vt);
+        g[1] += g_leak;
+        g[2] -= g_leak;
+    }
+    stamp_channel(J, F, n, nd, nd[1], nd[2], ids, g);
+}
+
+/* Polarization row parameters (fecam.devices.ferroelectric). */
+enum { POL_KAPPA, POL_T_FE, POL_EA, POL_ALPHA, POL_TAU0, POL_E_SMOOTH,
+       POL_APS2, POL_MULT, POL_FD, POL_MAX_EXP, POL_LOG10_MAX_EXP };
+
+/* FeFet.fe_field */
+static inline double fe_field(const double *p, double v_fg, double v_d,
+                              double v_s) {
+    const double v_chan = 0.5 * (v_d + v_s);
+    return p[POL_KAPPA] * (v_fg - v_chan) / p[POL_T_FE];
+}
+
+/* FerroelectricLayer.tau */
+static double fe_tau(const double *p, double e_field) {
+    const double e_mag = fabs(e_field);
+    if (e_mag <= 0.0)
+        return INFINITY;
+    const double ratio = p[POL_EA] / e_mag;
+    if (p[POL_ALPHA] * log10(ratio) > p[POL_LOG10_MAX_EXP])
+        return INFINITY;
+    const double exponent = pow(ratio, p[POL_ALPHA]);
+    if (exponent > p[POL_MAX_EXP])
+        return INFINITY;
+    return p[POL_TAU0] * exp(exponent);
+}
+
+/* FerroelectricLayer.preview */
+static double fe_preview(const double *p, double e_field, double dt,
+                         double s0) {
+    if (dt <= 0.0)
+        return s0;
+    const double tau = fe_tau(p, e_field);
+    if (isinf(tau))
+        return s0;
+    const double xs = e_field / p[POL_E_SMOOTH];
+    double target;
+    if (xs > 40.0)
+        target = 1.0;
+    else if (xs < -40.0)
+        target = 0.0;
+    else
+        target = 1.0 / (1.0 + exp(-xs));
+    return target + (s0 - target) * exp(-dt / tau);
+}
+
+/* FeFet._pol_current */
+static inline double pol_current(const double *p, double s, double v_fg,
+                                 double v_d, double v_s, double h) {
+    const double e = fe_field(p, v_fg, v_d, v_s);
+    const double s_new = fe_preview(p, e, h, s);
+    const double dq = p[POL_APS2] * (s_new - s);
+    return p[POL_MULT] * dq / h;
+}
+
+/* The polarization half of FeFet.stamp (terminals fg, d, s). */
+static void stamp_pol(double *J, double *F, int64_t n, const int64_t *nd,
+                      const double *p, double s, const double *x,
+                      double h) {
+    const double v_fg = MNA_V(nd[0]), v_d = MNA_V(nd[1]);
+    const double v_s = MNA_V(nd[2]);
+    const double i_pol = pol_current(p, s, v_fg, v_d, v_s, h);
+    if (!(i_pol != 0.0 || fe_tau(p, fe_field(p, v_fg, v_d, v_s)) < 1.0))
+        return;
+    const double d = p[POL_FD];
+    double di[3];
+    di[0] = (pol_current(p, s, v_fg + d, v_d, v_s, h) - i_pol) / d;
+    di[1] = (pol_current(p, s, v_fg, v_d + d, v_s, h) - i_pol) / d;
+    di[2] = (pol_current(p, s, v_fg, v_d, v_s + d, h) - i_pol) / d;
+    add_f(F, nd[0], i_pol);
+    add_f(F, nd[1], -0.5 * i_pol);
+    add_f(F, nd[2], -0.5 * i_pol);
+    for (int k = 0; k < 3; k++) {
+        add_j(J, n, nd[0], nd[k], di[k]);
+        add_j(J, n, nd[1], nd[k], -0.5 * di[k]);
+        add_j(J, n, nd[2], nd[k], -0.5 * di[k]);
+    }
+}
+
+/* Zero and assemble the dense (n, n) Jacobian J and residual F at the
+ * iterate x.  tran selects the transient companion models (timestep
+ * h); the gmin diagonal on the n_nodes node rows comes last, as in
+ * _System.assemble. */
+FECAM_API void fecam_mna_assemble(
+    const int64_t *rows, int64_t n_rows, const double *par,
+    const double *state, const double *x, int64_t n, int64_t n_nodes,
+    int64_t tran, double h, double gmin, double *J, double *F)
+{
+    memset(J, 0, (size_t)(n * n) * sizeof(double));
+    memset(F, 0, (size_t)n * sizeof(double));
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t *row = rows + r * MNA_ROW;
+        const int64_t *nd = row + 1;
+        const double *p = par + row[5];
+        switch (row[0]) {
+        case MNA_RES: {
+            const double g = p[0];
+            const double current = g * (MNA_V(nd[0]) - MNA_V(nd[1]));
+            add_f(F, nd[0], current);
+            add_f(F, nd[1], -current);
+            add_g(J, n, nd[0], nd[1], g);
+            break;
+        }
+        case MNA_CAP: {
+            const double c = p[0];
+            if (!tran || c <= 0)
+                break;
+            const double geq = c / h;
+            const double current =
+                (c * (MNA_V(nd[0]) - MNA_V(nd[1])) - state[row[6]]) / h;
+            add_f(F, nd[0], current);
+            add_f(F, nd[1], -current);
+            add_g(J, n, nd[0], nd[1], geq);
+            break;
+        }
+        case MNA_VSRC: {
+            const int64_t ibr = nd[2];
+            const double i_branch = x[ibr];
+            add_f(F, nd[0], i_branch);
+            add_f(F, nd[1], -i_branch);
+            add_j(J, n, nd[0], ibr, 1.0);
+            add_j(J, n, nd[1], ibr, -1.0);
+            add_f(F, ibr, (MNA_V(nd[0]) - MNA_V(nd[1])) - p[0]);
+            add_j(J, n, ibr, nd[0], 1.0);
+            add_j(J, n, ibr, nd[1], -1.0);
+            break;
+        }
+        case MNA_MOS:
+            stamp_mos(J, F, n, nd, p, x);
+            break;
+        case MNA_FET:
+            stamp_fet(J, F, n, nd, p, state[row[6]], x);
+            break;
+        case MNA_POL:
+            if (tran)
+                stamp_pol(J, F, n, nd, p, state[row[6]], x, h);
+            break;
+        }
+    }
+    for (int64_t k = 0; k < n_nodes; k++) {
+        J[k * n + k] += gmin;
+        F[k] += gmin * x[k];
+    }
+}
+
+/* Accept the converged timestep h at x: capacitor rows store their
+ * charge, polarization rows advance the domain fraction (the commit()
+ * methods of Capacitor, Mosfet and FeFet). */
+FECAM_API void fecam_mna_commit(
+    const int64_t *rows, int64_t n_rows, const double *par, double *state,
+    const double *x, double h)
+{
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t *row = rows + r * MNA_ROW;
+        const int64_t *nd = row + 1;
+        const double *p = par + row[5];
+        if (row[0] == MNA_CAP) {
+            state[row[6]] = p[0] * (MNA_V(nd[0]) - MNA_V(nd[1]));
+        } else if (row[0] == MNA_POL && h > 0.0) {
+            const double e = fe_field(p, MNA_V(nd[0]), MNA_V(nd[1]),
+                                      MNA_V(nd[2]));
+            state[row[6]] = fe_preview(p, e, h, state[row[6]]);
         }
     }
 }

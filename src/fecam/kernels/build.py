@@ -1,9 +1,10 @@
-"""On-demand C build of the compiled match kernel.
+"""On-demand C build of the compiled kernels.
 
-The compiled backend is a single C translation unit
-(``_kernel.c``, shipped with the package) built into a shared library
-by whatever C compiler the host has — no Python build dependency, no
-wheel story, no import-time cost for users who never select it.  The
+The compiled backend (the match kernel and the MNA stamp assembler) is
+a single C translation unit (``_kernel.c``, shipped with the package)
+built into a shared library by whatever C compiler the host has — no
+Python build dependency, no wheel story, no import-time cost for users
+who never select it.  The
 build is content-addressed: the library lands in a cache directory
 under a name keyed by the source hash, so it compiles exactly once per
 source revision and every later import is one ``dlopen``.
@@ -39,9 +40,12 @@ from ..errors import KernelUnavailableError
 __all__ = ["source_path", "cache_dir", "build_library", "load_library"]
 
 #: ABI the Python bindings speak; must match _kernel.c's FECAM_KERNEL_ABI.
-KERNEL_ABI = 3
+KERNEL_ABI = 4
 
-_BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
+#: -ffp-contract=off keeps a*b + c two roundings: GCC's GNU-mode default
+#: (and clang's within one expression) fuses it into an FMA, which would
+#: break the MNA assembler's bit-identity with the Python stamp path.
+_BASE_FLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
 #: Tried in order until one compiles: OpenMP + native tuning first,
 #: then progressively plainer flag sets for conservative toolchains.
 _FLAG_LADDER = [["-fopenmp", "-march=native"], ["-fopenmp"],
@@ -104,7 +108,7 @@ def _read_source() -> str:
 
 def _library_path(source: str) -> str:
     digest = hashlib.sha256(
-        f"abi{KERNEL_ABI}\n{source}".encode()).hexdigest()[:16]
+        f"abi{KERNEL_ABI}\n{_BASE_FLAGS}\n{source}".encode()).hexdigest()[:16]
     return os.path.join(cache_dir(), f"fecam_kernel_{digest}.so")
 
 
@@ -125,7 +129,7 @@ def build_library(*, verbose: bool = False) -> str:
         # makes one winner visible.
         tmp_path = lib_path + f".tmp{os.getpid()}"
         cmd = ([compiler] + _BASE_FLAGS + extra
-               + ["-o", tmp_path, source_path()])
+               + ["-o", tmp_path, source_path(), "-lm"])
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=120)

@@ -1,4 +1,5 @@
-"""ctypes bindings for the compiled two-step match kernel.
+"""ctypes bindings for the compiled kernels: the two-step match and MNA
+stamping.
 
 :class:`CompiledKernel` drives the shared library built by
 :mod:`fecam.kernels.build`.  The bindings are deliberately raw: every
@@ -25,6 +26,11 @@ Counts are integers, query compression is the identical masked-shift
 pext, and the match order is deterministic, so results are
 bit-identical to the NumPy backend (the hypothesis suites in
 ``tests/kernels/`` enforce this on every run).
+
+The MNA pair (:attr:`CompiledKernel.mna_assemble` /
+:attr:`CompiledKernel.mna_commit`) is bound as bare ctypes functions:
+:mod:`fecam.spice.analysis` owns the stamp table and its pointers and
+calls them once per Newton iteration / accepted timestep.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ __all__ = ["CompiledKernel"]
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
+_F64 = ctypes.c_double
 
 _EXEMPT = ("ctypes shim: every per-row loop runs in compiled code, "
            "Python-level hygiene heuristics do not apply")
@@ -81,6 +88,15 @@ class CompiledKernel:
         fill_sp = lib.fecam_fill_matches_sparse
         fill_sp.restype = None
         fill_sp.argtypes = [_PTR] * 11 + [_I64] * 2 + [_PTR] * 3
+        # (rows, n_rows, par, state, x, n, n_nodes, tran, h, gmin, J, F)
+        assemble = lib.fecam_mna_assemble
+        assemble.restype = None
+        assemble.argtypes = ([_PTR, _I64] + [_PTR] * 3 + [_I64] * 3
+                             + [_F64] * 2 + [_PTR] * 2)
+        # (rows, n_rows, par, state, x, h)
+        commit = lib.fecam_mna_commit
+        commit.restype = None
+        commit.argtypes = [_PTR, _I64] + [_PTR] * 3 + [_F64]
         omp = lib.fecam_kernel_openmp
         omp.restype = _I64
         omp.argtypes = []
@@ -90,6 +106,9 @@ class CompiledKernel:
         self._count_sparse = count_sp
         self._fill = fill
         self._fill_sparse = fill_sp
+        #: MNA assembly and state commit over a spice stamp table.
+        self.mna_assemble = assemble
+        self.mna_commit = commit
         #: Whether the library was built with OpenMP (informational).
         self.openmp = bool(omp())
 

@@ -18,7 +18,6 @@ Typical usage::
     print(result.crossing_time("out", 0.5))
 """
 
-from .ac import ACResult, ac_analysis
 from .analysis import (NewtonOptions, StampContext, TransientOptions, dc_sweep,
                        operating_point, transient)
 from .elements import (Capacitor, CurrentSource, Diode, Resistor, Switch,
@@ -32,6 +31,6 @@ __all__ = [
     "Resistor", "Capacitor", "VoltageSource", "CurrentSource", "Switch", "Diode",
     "DC", "Pulse", "PWL", "Sine", "Shifted", "Waveform", "step_sequence",
     "NewtonOptions", "TransientOptions", "StampContext",
-    "operating_point", "dc_sweep", "transient", "ac_analysis", "ACResult",
+    "operating_point", "dc_sweep", "transient",
     "OperatingPoint", "SweepResult", "TransientResult",
 ]

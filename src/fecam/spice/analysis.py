@@ -10,6 +10,15 @@ The solver follows textbook SPICE practice:
   exposes a companion model through its ``stamp``/``commit`` methods and the
   step is retried with a halved timestep on non-convergence.
 
+Assembly has two paths with bit-identical results.  When the compiled
+kernel is active (:func:`fecam.kernels.active_kernel`) and every element
+provides a :meth:`~fecam.spice.netlist.Element.record`, the circuit is
+flattened into a :class:`_StampTable` and one C call per Newton iteration
+assembles J and F (and one per accepted step commits the state).
+Otherwise each element's ``stamp`` runs in Python — the reference path,
+the path without a compiler, and the one for elements without a record
+(``CurrentSource``, ``Switch``, ``Diode``).
+
 Matrices are dense numpy for small systems and switch to scipy sparse
 factorization above a size threshold; TCAM word-level circuits stay well
 under a thousand unknowns either way.
@@ -23,9 +32,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import kernels
 from ..errors import ConvergenceError, NetlistError, SimulationError
 from .elements import VoltageSource
-from .netlist import Circuit, Element, TerminalVoltages
+from .netlist import REC_VSRC, Circuit, Element, TerminalVoltages
 from .results import OperatingPoint, SweepResult, TransientResult
 
 _SPARSE_THRESHOLD = 400
@@ -76,6 +86,60 @@ class StampContext:
             self._f[row] += value
 
 
+class _StampTable:
+    """A bound circuit as one flat table for the compiled MNA kernel.
+
+    ``rows`` is (n_rows, 7) int64 ``(kind, n0, n1, n2, n3, par offset,
+    state offset)``; ``par`` and ``state`` are the float64 vectors the
+    offsets index.  ``state`` is the working copy of every committed
+    capacitor charge and FeFET domain fraction: :meth:`commit` evolves it
+    and :meth:`write_back` hands it to the elements.
+    """
+
+    def __init__(self, kernel, elements: Sequence[Element],
+                 records: Sequence[tuple]):
+        rows: List[List[int]] = []
+        par: List[float] = []
+        state: List[float] = []
+        self._owners = []   # (element, state offset, state length)
+        self._sources = []  # (level offset in par, VoltageSource)
+        for element, (element_rows, element_state) in zip(elements, records):
+            base = len(state)
+            for kind, nodes, params, slot in element_rows:
+                if kind == REC_VSRC:
+                    self._sources.append((len(par), element))
+                nodes = list(nodes) + [-1] * (4 - len(nodes))
+                rows.append([kind] + nodes
+                            + [len(par), base + slot if slot >= 0 else 0])
+                par.extend(params)
+            state.extend(element_state)
+            if element_state:
+                self._owners.append((element, base, len(element_state)))
+        self.rows = np.array(rows, dtype=np.int64).reshape(-1, 7)
+        self.par = np.array(par + [0.0], dtype=np.float64)
+        self.state = np.array(state + [0.0], dtype=np.float64)
+        self._kernel = kernel
+        self._ptrs = (self.rows.ctypes.data, len(rows), self.par.ctypes.data,
+                      self.state.ctypes.data)
+
+    def set_levels(self, t: float, source_scale: float) -> None:
+        for offset, source in self._sources:
+            self.par[offset] = source.level(t, source_scale)
+
+    def assemble(self, x: np.ndarray, n_nodes: int, tran: bool, h: float,
+                 gmin: float, j: np.ndarray, f: np.ndarray) -> None:
+        self._kernel.mna_assemble(*self._ptrs, x.ctypes.data, x.size,
+                                  n_nodes, tran, h, gmin, j.ctypes.data,
+                                  f.ctypes.data)
+
+    def commit(self, x: np.ndarray, h: float) -> None:
+        self._kernel.mna_commit(*self._ptrs, x.ctypes.data, h)
+
+    def write_back(self) -> None:
+        for element, offset, length in self._owners:
+            element.load_state(self.state[offset:offset + length].tolist())
+
+
 class _System:
     """Bound circuit: index assignment plus assembly/solve helpers."""
 
@@ -96,6 +160,23 @@ class _System:
             raise NetlistError("circuit has no unknowns (empty netlist?)")
         self.ctx = StampContext(self.n_unknowns)
         self.ctx.gmin = options.gmin
+        self.table: Optional[_StampTable] = None
+
+    def compile(self) -> None:
+        """Switch assembly to the compiled kernel when it can take over.
+
+        Snapshots element state into the table, so call it once the
+        elements hold the state the analysis starts from.  Leaves
+        :attr:`table` None (the Python stamp path) when the kernel is not
+        active or some element has no record.
+        """
+        kernel = kernels.active_kernel()
+        if kernel is None:
+            return
+        records = [element.record() for element in self.circuit.elements]
+        if any(record is None for record in records):
+            return
+        self.table = _StampTable(kernel, self.circuit.elements, records)
 
     def views_for(self, x: np.ndarray) -> List[TerminalVoltages]:
         return [TerminalVoltages(x, e._node_index, e._branch_index)
@@ -127,10 +208,18 @@ class _System:
         ctx.h = h
         ctx.source_scale = source_scale
         x = x0.copy()
-        views = self.views_for(x)
+        table = self.table
+        if table is None:
+            views = self.views_for(x)
+        else:
+            table.set_levels(t, source_scale)
         last_residual = math.inf
         for iteration in range(opts.max_iterations):
-            self.assemble(x, views, gmin)
+            if table is None:
+                self.assemble(x, views, gmin)
+            else:
+                table.assemble(x, self.n_nodes, mode == "tran", h, gmin,
+                               ctx._j, ctx._f)
             f = ctx._f
             last_residual = float(np.max(np.abs(f))) if f.size else 0.0
             try:
@@ -180,6 +269,7 @@ def operating_point(circuit: Circuit, *, t: float = 0.0,
     """
     options = options or NewtonOptions()
     system = _System(circuit, options)
+    system.compile()
     x = np.zeros(system.n_unknowns)
     if initial_guess:
         for node, value in initial_guess.items():
@@ -268,7 +358,6 @@ def transient(circuit: Circuit, t_stop: float, *,
     if t_stop <= 0:
         raise SimulationError(f"t_stop must be positive, got {t_stop}")
     system = _System(circuit, options.newton)
-    n_nodes = system.n_nodes
 
     # Initial solution.
     if options.use_initial_conditions:
@@ -280,6 +369,21 @@ def transient(circuit: Circuit, t_stop: float, *,
     views = system.views_for(x)
     for element, view in zip(circuit.elements, views):
         element.init_state(view)
+    system.compile()
+    table = system.table
+    try:
+        return _integrate(system, x, t_stop, options, record_nodes)
+    finally:
+        if table is not None:
+            table.write_back()
+
+
+def _integrate(system: _System, x: np.ndarray, t_stop: float,
+               options: TransientOptions,
+               record_nodes: Optional[Sequence[str]]) -> TransientResult:
+    """The backward-Euler time loop of :func:`transient`."""
+    circuit = system.circuit
+    table = system.table
 
     node_list = list(record_nodes) if record_nodes else list(circuit.node_names)
     node_idx = {name: circuit.node_index(name) for name in node_list}
@@ -316,9 +420,12 @@ def transient(circuit: Circuit, t_stop: float, *,
                     raise
         x = x_new
         t += h
-        new_views = system.views_for(x)
-        for element, view in zip(circuit.elements, new_views):
-            element.commit(view)
+        if table is None:
+            new_views = system.views_for(x)
+            for element, view in zip(circuit.elements, new_views):
+                element.commit(view)
+        else:
+            table.commit(x, h)
         times.append(t)
         for name, idx in node_idx.items():
             traces[name].append(0.0 if idx < 0 else float(x[idx]))

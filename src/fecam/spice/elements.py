@@ -12,7 +12,7 @@ import math
 
 from ..errors import NetlistError
 from ..units import thermal_voltage
-from .netlist import Element, TerminalVoltages
+from .netlist import REC_CAP, REC_RES, REC_VSRC, Element, TerminalVoltages
 from .waveforms import DC, Waveform
 
 
@@ -35,6 +35,9 @@ class Resistor(Element):
         ctx.add_j(ia, ib, -g)
         ctx.add_j(ib, ia, -g)
         ctx.add_j(ib, ib, g)
+
+    def record(self):
+        return [(REC_RES, self._node_index, (1.0 / self.resistance,), -1)], ()
 
 
 class Capacitor(Element):
@@ -72,6 +75,13 @@ class Capacitor(Element):
 
     def commit(self, v: TerminalVoltages) -> None:
         self._q_committed = self.capacitance * (v[0] - v[1])
+
+    def record(self):
+        return ([(REC_CAP, self._node_index, (self.capacitance,), 0)],
+                (self._q_committed,))
+
+    def load_state(self, state) -> None:
+        (self._q_committed,) = state
 
     @property
     def voltage_state(self) -> float:
@@ -114,6 +124,12 @@ class VoltageSource(Element):
         ctx.add_f(ibr, (v[0] - v[1]) - self.level(ctx.t, ctx.source_scale))
         ctx.add_j(ibr, ip, 1.0)
         ctx.add_j(ibr, ineg, -1.0)
+
+    def record(self):
+        # The level parameter is rewritten by the analysis for every
+        # (t, source_scale) it solves at.
+        return [(REC_VSRC, self._node_index + self._branch_index, (0.0,),
+                 -1)], ()
 
 
 class CurrentSource(Element):

@@ -25,6 +25,13 @@ from ..errors import NetlistError
 
 GROUND_NAMES = ("0", "gnd", "GND", "vss!", "ground")
 
+#: Row kinds of the compiled stamp table; must match the ``MNA_*`` enum in
+#: ``fecam/kernels/_kernel.c``.
+REC_RES, REC_CAP, REC_VSRC, REC_MOS, REC_FET, REC_POL = range(1, 7)
+
+#: One compiled-table row: (kind, unknown indices, parameters, state slot).
+StampRow = Tuple[int, Sequence[int], Sequence[float], int]
+
 
 def canonical_node(name: str) -> str:
     """Normalize a node name; all ground aliases collapse to ``"0"``."""
@@ -77,6 +84,24 @@ class Element:
 
     def commit(self, v: "TerminalVoltages") -> None:
         """Accept internal state at the end of a converged timestep."""
+
+    def record(self) -> Optional[Tuple[List[StampRow], Sequence[float]]]:
+        """This element as rows of the compiled stamp table, or None.
+
+        Returns ``(rows, state)``.  Each row is ``(kind, indices, params,
+        slot)``: a ``REC_*`` kind, up to four bound unknown indices (-1 is
+        ground), the parameters in the order the C kernel reads them, and
+        the index into ``state`` of the row's integration state (-1 for
+        none).  ``state`` is the element's current state; the analysis
+        hands the evolved values back through :meth:`load_state`.  The
+        rows must make the kernel add exactly what :meth:`stamp` adds, in
+        the same order.  None (the default) keeps the circuit on the
+        per-element :meth:`stamp` path.
+        """
+        return None
+
+    def load_state(self, state: Sequence[float]) -> None:
+        """Adopt the state a compiled transient evolved (see :meth:`record`)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} {self.terminals}>"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fecam.cam import (TcamArrayCircuit, scenario_content,
                        simulate_word_search, ternary_match)
+from fecam.cam.word import SCENARIOS_TWO_STEP, WordTimings
 from fecam.designs import DesignKind
 from fecam.errors import OperationError
 
@@ -86,6 +87,20 @@ class TestWordSearch:
             r = simulate_word_search(design, 16, "x",
                                      stored="X" * 16, query="10" * 8)
             assert r.matched, design
+
+    @pytest.mark.parametrize("scenario", SCENARIOS_TWO_STEP)
+    @pytest.mark.parametrize("design", TWO_STEP)
+    def test_gap_not_longer_than_line_edge_rejected(self, design, scenario):
+        # Step 2's query edge would start before step 1's has finished.
+        with pytest.raises(OperationError, match="t_gap.*t_trans_lines"):
+            simulate_word_search(design, 64, scenario,
+                                 timings=WordTimings(t_gap=0.2e-9))
+
+    @pytest.mark.parametrize("design", SINGLE)
+    def test_single_step_designs_accept_a_short_gap(self, design):
+        r = simulate_word_search(design, 16, "miss",
+                                 timings=WordTimings(t_gap=0.2e-9))
+        assert r.functionally_correct
 
 
 class TestArrayCircuit:
