@@ -3,8 +3,10 @@
 A lint run is two passes over the parsed module set.  Pass one lets
 every rule *collect* project-wide facts (which classes are frozen
 dataclasses, which methods carry ``@requires_lock`` markers, which
-classes own an ``RWLock``); pass two *checks* each module against those
-facts.  Cross-file knowledge is what makes repo-specific rules like
+classes own an ``RWLock``); rules then *resolve* the facts that join
+files (a subclass inherits lock ownership from a base defined
+elsewhere); pass two *checks* each module against those facts.
+Cross-file knowledge is what makes repo-specific rules like
 lock discipline possible at all — a single-file linter cannot know that
 ``CamStore.insert`` is a writer-locked operation when it sees
 ``self.store.insert(...)`` in ``service.py``.
@@ -94,8 +96,11 @@ class Project:
     #: (``@mutates_planes``); calling one discharges the bump obligation
     planes_mutators: Set[str] = field(default_factory=set)
     #: (display_path, class name) -> lock attribute names, for classes
-    #: whose ``__init__`` builds an ``RWLock``
+    #: whose ``__init__`` builds an ``RWLock`` or that inherit from one
     lock_owners: Dict[Tuple[str, str], Set[str]] = field(
+        default_factory=dict)
+    #: (display_path, class name) -> last components of its base names
+    class_bases: Dict[Tuple[str, str], List[str]] = field(
         default_factory=dict)
 
 
@@ -113,6 +118,11 @@ class Rule:
 
     def collect(self, module: Module, project: Project) -> None:
         """Pass 1: record project-wide facts from ``module``."""
+
+    def resolve(self, project: Project) -> None:
+        """After every module's collect pass: derive the facts that
+        span modules (e.g. lock ownership inherited from a base class
+        defined in another file)."""
 
     def check(self, module: Module,
               project: Project) -> Iterator[Violation]:
@@ -253,6 +263,8 @@ def run_lint(paths: Sequence[Path], *,
     for rule in rules:
         for module in project.modules:
             rule.collect(module, project)
+    for rule in rules:
+        rule.resolve(project)
     violations: List[Violation] = []
     suppressed = 0
     for rule in rules:

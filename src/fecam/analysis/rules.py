@@ -18,8 +18,9 @@ FCA001    generation-discipline  plane-buffer writes bump the write
                                  generation (call ``_bump`` or a
                                  ``@mutates_planes`` method)
 FCA002    lock-discipline        store access in RWLock-owning
-                                 classes only under the declared
-                                 lock mode (``@requires_lock`` /
+                                 classes and their subclasses only
+                                 under the declared lock mode
+                                 (``@requires_lock`` /
                                  ``@lock_free`` markers)
 FCA003    frozen-mutation        no attribute assignment on frozen
                                  dataclass instances
@@ -217,9 +218,14 @@ def _decorated_lock_mode(fn: AnyFunc) -> int:
 
 
 def collect_lock_owners(module: Module, project: Project) -> None:
-    """Record classes whose ``__init__`` builds an RWLock (idempotent —
-    called from every rule that needs the fact, so ``--select`` of a
-    single rule still sees it)."""
+    """Record classes whose ``__init__`` builds an RWLock, and every
+    class's bases (idempotent — called from every rule that needs the
+    fact, so ``--select`` of a single rule still sees it)."""
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.ClassDef):
+            project.class_bases[(module.display_path, node.name)] = [
+                (dotted_name(base) or "").rsplit(".", 1)[-1]
+                for base in node.bases]
     for cls, fn in iter_functions(module.tree):
         if cls is None or fn.name != "__init__":
             continue
@@ -234,6 +240,26 @@ def collect_lock_owners(module: Module, project: Project) -> None:
                     project.lock_owners.setdefault(
                         (module.display_path, cls.name),
                         set()).add(node.targets[0].attr)
+
+
+def inherit_lock_owners(project: Project) -> None:
+    """A class whose base (matched by the base name's last component,
+    anywhere in the linted set) owns a lock owns the same lock
+    attributes.  Transitive; idempotent."""
+    changed = True
+    while changed:
+        changed = False
+        by_name: Dict[str, Set[str]] = {}
+        for (_path, name), attrs in project.lock_owners.items():
+            by_name.setdefault(name, set()).update(attrs)
+        for key, bases in project.class_bases.items():
+            if key in project.lock_owners:
+                continue
+            inherited = set().union(*(by_name[base] for base in bases
+                                      if base in by_name))
+            if inherited:
+                project.lock_owners[key] = inherited
+                changed = True
 
 
 @register
@@ -266,6 +292,9 @@ class LockDiscipline(Rule):
                 if cls is not None:
                     self._class_marked.setdefault(
                         (module.display_path, cls.name), {})[fn.name] = mode
+
+    def resolve(self, project: Project) -> None:
+        inherit_lock_owners(project)
 
     def check(self, module: Module,
               project: Project) -> Iterator[Violation]:
@@ -543,6 +572,9 @@ class SnapshotEscape(Rule):
 
     def collect(self, module: Module, project: Project) -> None:
         collect_lock_owners(module, project)
+
+    def resolve(self, project: Project) -> None:
+        inherit_lock_owners(project)
 
     def check(self, module: Module,
               project: Project) -> Iterator[Violation]:

@@ -53,6 +53,10 @@ VDD_CMOS = 0.9
 class WordTimings:
     """Search phase timing plan.
 
+    Every field defaults to ``None``, meaning "this design's schedule":
+    :meth:`for_design` fills exactly the ``None`` fields, so a value given
+    explicitly wins in every design family.
+
     ``t_gap`` is the break-before-make slack between the two search steps
     (paper Sec. V-B: "some time slack for the search signal switching
     between the two steps"): cell1 is deselected first, then — after the
@@ -61,20 +65,17 @@ class WordTimings:
     the (precharged-once) match line.
     """
 
-    t_settle: float = 0.7e-9  # query application + ML precharge overlap
-    t_step: float = 1.2e-9  # evaluation window per search step
-    t_gap: float = 0.5e-9  # deselect -> reconfigure slack between steps
-    t_trans: float = 50e-12  # select-line transition time
-    # Query/data lines (SL, Wr/SL, BL) switch with a deliberately slow
-    # edge: the long-channel TN/TP gates couple strongly into SL_bar, and
-    # a slow edge lets TN sink the coupled charge as it arrives instead of
-    # letting the bump open TML on the precharged-once match line.
-    t_trans_lines: float = 0.25e-9
-    dt: float = 25e-12  # transient step
+    t_settle: Optional[float] = None  # query application + ML precharge
+    t_step: Optional[float] = None  # evaluation window per search step
+    t_gap: Optional[float] = None  # deselect -> reconfigure slack
+    t_trans: Optional[float] = None  # select-line transition time
+    t_trans_lines: Optional[float] = None  # query/data-line edge
+    dt: Optional[float] = None  # transient step
 
     def for_design(self, design: DesignKind,
                    n_bits: int = 64) -> "WordTimings":
-        """Evaluation windows per design family and word length.
+        """The complete plan: explicit fields kept, ``None`` fields set to
+        the design family's schedule at this word length.
 
         A self-timed search closes its window when the slowest mismatch
         has developed: a word-length-independent SL_bar settling term plus
@@ -84,26 +85,28 @@ class WordTimings:
         """
         scale = n_bits / 64.0
         if design is DesignKind.CMOS_16T:
-            return WordTimings(t_settle=0.5e-9,
-                               t_step=0.4e-9 + 0.7e-9 * scale,
-                               t_gap=self.t_gap, t_trans=self.t_trans,
-                               t_trans_lines=50e-12, dt=10e-12)
-        if design is DesignKind.SG_2FEFET:
-            return WordTimings(t_settle=0.8e-9,
-                               t_step=0.5e-9 + 2.5e-9 * scale,
-                               t_gap=self.t_gap, t_trans=self.t_trans,
-                               t_trans_lines=50e-12, dt=self.dt)
-        if design is DesignKind.DG_2FEFET:
-            return WordTimings(t_settle=0.8e-9,
-                               t_step=1.2e-9 + 6.8e-9 * scale,
-                               t_gap=self.t_gap, t_trans=self.t_trans,
-                               t_trans_lines=50e-12, dt=50e-12)
-        # 1.5T1Fe designs: the SL_bar settle term (TP-rise limited) is
-        # word-length independent; the TML/ML discharge term scales.
-        return WordTimings(t_settle=self.t_settle,
-                           t_step=0.9e-9 + 0.9e-9 * scale,
-                           t_gap=self.t_gap, t_trans=self.t_trans,
-                           t_trans_lines=self.t_trans_lines, dt=self.dt)
+            plan = dict(t_settle=0.5e-9, t_step=0.4e-9 + 0.7e-9 * scale,
+                        t_trans_lines=50e-12, dt=10e-12)
+        elif design is DesignKind.SG_2FEFET:
+            plan = dict(t_settle=0.8e-9, t_step=0.5e-9 + 2.5e-9 * scale,
+                        t_trans_lines=50e-12, dt=25e-12)
+        elif design is DesignKind.DG_2FEFET:
+            plan = dict(t_settle=0.8e-9, t_step=1.2e-9 + 6.8e-9 * scale,
+                        t_trans_lines=50e-12, dt=50e-12)
+        else:
+            # 1.5T1Fe designs: the SL_bar settle term (TP-rise limited) is
+            # word-length independent; the TML/ML discharge term scales.
+            # Their query/data lines (SL, Wr/SL, BL) switch with a
+            # deliberately slow edge: the long-channel TN/TP gates couple
+            # strongly into SL_bar, and a slow edge lets TN sink the
+            # coupled charge as it arrives instead of letting the bump
+            # open TML on the precharged-once match line.
+            plan = dict(t_settle=0.7e-9, t_step=0.9e-9 + 0.9e-9 * scale,
+                        t_trans_lines=0.25e-9, dt=25e-12)
+        plan.update(t_gap=0.5e-9, t_trans=50e-12)
+        plan.update({name: value for name, value in vars(self).items()
+                     if value is not None})
+        return WordTimings(**plan)
 
 
 @dataclass

@@ -8,9 +8,9 @@ and the single writer publishes mutations seqlock-style — generation
 word bumped odd before the mutation, even after, readers retrying torn
 windows.  :class:`ClusterBackend` packages the writer + worker pool
 behind the standard store-backend contract (so the cross-backend
-conformance battery covers it verbatim) and :class:`ClusterService`
-puts a :class:`~fecam.service.SearchService`-shaped front door on top,
-routing queries by :class:`HashRing`.
+conformance battery covers it verbatim), routing queries by
+:class:`HashRing`; :class:`ClusterService` is the
+:class:`~fecam.service.SearchService` over it, read lock included.
 
 Failure modes, by design: a dead worker respawns (or its hash arc
 moves to survivors); a dead writer fails writes while reads keep
@@ -22,12 +22,12 @@ the one unrecoverable read state, surfaced as a typed
 from .backend import ClusterBackend, resolve_start_method
 from .replica import Replica
 from .ring import HashRing
-from .service import ClusterServed, ClusterService
+from .service import ClusterService
 from .shm import SharedArena, default_shm_dir
 from .worker import WorkerSpec, worker_main
 
 __all__ = [
-    "ClusterBackend", "ClusterService", "ClusterServed", "HashRing",
-    "Replica", "SharedArena", "WorkerSpec", "default_shm_dir",
-    "resolve_start_method", "worker_main",
+    "ClusterBackend", "ClusterService", "HashRing", "Replica",
+    "SharedArena", "WorkerSpec", "default_shm_dir", "resolve_start_method",
+    "worker_main",
 ]

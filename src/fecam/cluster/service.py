@@ -1,127 +1,50 @@
-"""`ClusterService` — the multi-process front door.
+"""`ClusterService` — :class:`~fecam.service.SearchService` over a
+:class:`~fecam.cluster.ClusterBackend` store.
 
-Mirrors :class:`~fecam.service.SearchService`'s API (submit /
-search / search_many / asearch / write / read / stats / close) over a
-:class:`~fecam.cluster.ClusterBackend`, with one architectural
-difference: cross-process reads need **no read lock**.  The arena
-seqlock *is* the read synchronization — each worker answers from a
-consistent published generation or retries — so the service's RWLock
-exists only to serialize writers (and to keep the ``FECAM_SANITIZE=1``
-lock discipline over the writer-side planes).
+All but the burst door is the in-process service: its dispatcher, its
+writer lock, its :class:`~fecam.service.ServedResult`.  Reads run under
+the read lock and are tagged with ``store.generation`` — with writers
+excluded, the generation every worker serves under its seqlock.
 
-Serving shape:
-
-* ``search_many`` is the throughput door: it scatters the burst
-  straight across the workers (no queue hop) and wraps each answer in
-  a lazy :class:`ClusterServed` — match/result objects materialize
-  only if the caller actually inspects them, which is what keeps the
-  per-query cost near the wire cost.
-* ``submit``/``search`` ride a micro-batching dispatcher thread like
-  the single-process service, so trickle traffic from many threads
-  still coalesces into fused worker batches.
-
-Every result carries the worker-observed ``generation``; replaying the
-write journal to that generation reproduces the result bit-for-bit
-(the cross-process stress suite holds this as an invariant).
+``search_many`` scatters a plain-string burst on the caller's thread:
+the kernel runs in the workers, so the one dispatcher thread would only
+serialise parent-side work and keep one scatter in flight.  Bursts of
+:class:`~fecam.store.Query` objects (per-query masks) still go through
+the dispatcher, which groups them by mask.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
 import time
-from collections import Counter, deque
-from concurrent.futures import Future
-from typing import (Any, Callable, Dict, Hashable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..analysis.sanitize import maybe_sanitize_service
-from ..errors import OperationError, ServiceClosed, ServiceOverloaded
-from ..fabric.batch import normalize_queries
-from ..service.locks import RWLock
-from ..service.stats import LatencyReservoir, ServiceStats
+from ..errors import OperationError, ServiceClosed
+from ..service.service import SearchService, ServedResult
 from ..store import CamStore
 from ..store.config import StoreConfig
-from ..store.result import LazyMatches, Match, Query, QueryResult
+from ..store.result import Query
 from .backend import ClusterBackend
 
-__all__ = ["ClusterService", "ClusterServed"]
-
-_NON_BINARY = str.maketrans("", "", "01")
+__all__ = ["ClusterService"]
 
 
-class ClusterServed:
-    """One completed cluster request (lazy ServedResult twin).
+class ClusterService(SearchService):
+    """Consistent-hash front end over one writer + N reader processes.
 
-    Field-compatible with :class:`~fecam.service.ServedResult` —
-    ``result`` / ``generation`` / ``latency`` / ``best`` /
-    ``match_keys`` — but holds only the wire rows until inspected.
-    The materialized :class:`QueryResult` is already detached (rows
-    were copied across the process boundary), so no freeze step is
-    needed.
+    Builds and owns a :class:`ClusterBackend` store from ``config``, or
+    fronts a given cluster ``store`` (owned only if ``owns_backend``).
+    Other keywords go to :class:`~fecam.service.SearchService`; the
+    store's query cache is never consulted.
     """
-
-    __slots__ = ("generation", "latency", "_bits", "_mask", "_rows",
-                 "_energy", "_model_latency", "_result")
-
-    def __init__(self, bits: str, mask: Optional[str], generation: int,
-                 rows: List[Tuple], energy: float, model_latency: float,
-                 latency: float):
-        self.generation = generation
-        self.latency = latency
-        self._bits = bits
-        self._mask = mask
-        self._rows = rows
-        self._energy = energy
-        self._model_latency = model_latency
-        self._result: Optional[QueryResult] = None
-
-    @property
-    def result(self) -> QueryResult:
-        result = self._result
-        if result is None:
-            result = QueryResult(
-                query=Query(bits=self._bits, mask=self._mask),
-                matches=LazyMatches(self._rows),
-                energy=self._energy, latency=self._model_latency)
-            self._result = result
-        return result
-
-    @property
-    def best(self) -> Optional[Match]:
-        return self.result.best
-
-    @property
-    def match_keys(self) -> List[Hashable]:
-        return self.result.match_keys
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"ClusterServed(generation={self.generation}, "
-                f"matches={len(self._rows)}, latency={self.latency:.2e})")
-
-
-class _Pending:
-    __slots__ = ("bits", "mask", "future", "enqueued_at")
-
-    def __init__(self, bits: str, mask: Optional[str],
-                 future: "Future[ClusterServed]", enqueued_at: float):
-        self.bits = bits
-        self.mask = mask
-        self.future = future
-        self.enqueued_at = enqueued_at
-
-
-class ClusterService:
-    """Consistent-hash front end over one writer + N reader processes."""
 
     def __init__(self, store: Optional[CamStore] = None, *,
                  config: Optional[StoreConfig] = None, workers: int = 2,
-                 max_batch: int = 256, max_queue: int = 4096,
-                 latency_window: int = 4096, start: bool = True,
                  start_method: Optional[str] = None,
                  shm_dir: Optional[str] = None,
                  read_timeout: float = 5.0, respawn: bool = True,
-                 owns_backend: Optional[bool] = None):
+                 owns_backend: Optional[bool] = None,
+                 max_batch: int = 256, max_queue: int = 4096,
+                 **service_kwargs: Any):
         if store is None:
             if config is None:
                 raise OperationError(
@@ -137,325 +60,60 @@ class ClusterService:
             raise OperationError(
                 "ClusterService fronts a ClusterBackend store; got "
                 f"{type(backend).__name__}")
-        if max_batch < 1 or max_queue < 1:
-            raise OperationError("max_batch/max_queue must be positive")
-        self.store = store
         self.backend: ClusterBackend = backend
-        self.max_batch = max_batch
-        self.max_queue = max_queue
         self._owns_backend = bool(owns_backend)
-        self._rw = RWLock()
-        self._mutex = threading.Lock()
-        self._wakeup = threading.Condition(self._mutex)
-        self._queue: "deque[_Pending]" = deque()
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-        self._submitted = 0
-        self._served = 0
-        self._failed = 0
-        self._overloads = 0
-        self._max_queue_depth = 0
-        self._batches = 0
-        self._batch_sizes: "Counter[int]" = Counter()
-        self._coalesced = 0
-        self._direct = 0
-        self._writes = 0
-        self._latencies = LatencyReservoir(latency_window)
-        self._started_wall = time.time()
-        self._started_mono = time.perf_counter()
-        maybe_sanitize_service(self)
-        if start:
-            self.start()
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> "ClusterService":
-        with self._mutex:
-            if self._closed:
-                raise ServiceClosed("cluster service is closed")
-            if self._thread is not None:
-                return self
-            self._thread = threading.Thread(
-                target=self._dispatch_loop,
-                name="fecam-cluster-dispatcher", daemon=True)
-            self._thread.start()
-        return self
-
-    @property
-    def closed(self) -> bool:
-        with self._mutex:
-            return self._closed
+        super().__init__(store, max_batch=max_batch, max_queue=max_queue,
+                         use_cache=False, **service_kwargs)
 
     def close(self, *, drain: bool = True,
               timeout: Optional[float] = None) -> bool:
-        """Stop accepting, drain (or fail) the queue, stop the workers,
-        and unlink the shared segment.  Idempotent."""
-        with self._mutex:
-            already = self._closed
-            self._closed = True
-            rejected: List[_Pending] = []
-            if not drain:
-                rejected = list(self._queue)
-                self._queue.clear()
-            self._wakeup.notify_all()
-            thread = self._thread
-        for pending in rejected:
-            self._fail(pending, ServiceClosed(
-                "cluster service closed before this request dispatched"))
-        stopped = True
-        if thread is not None:
-            thread.join(timeout)
-            stopped = not thread.is_alive()
-        elif drain and not already:
-            self._dispatch_loop()
-        if self._owns_backend and not already:
+        """Close the service, then an owned backend.  Idempotent."""
+        stopped = super().close(drain=drain, timeout=timeout)
+        if self._owns_backend:
             self.backend.close()
         return stopped
 
-    def __enter__(self) -> "ClusterService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- front doors -------------------------------------------------------------
-
-    def _prepare(self, query: Union[Query, str],
-                 mask: Optional[str]) -> Tuple[str, Optional[str]]:
-        if type(query) is str:
-            bits: Any = query
-            own_mask: Optional[str] = None
-        else:
-            coerced = Query.coerce(query)
-            bits = coerced.bits
-            own_mask = coerced.mask
-        if not (isinstance(bits, str) and len(bits) == self.store.width
-                and not bits.translate(_NON_BINARY)):
-            bits = normalize_queries([bits], self.store.width)[0]
-        if own_mask is not None and mask is not None \
-                and own_mask != mask:
-            raise OperationError(
-                "the query's own mask conflicts with the mask argument")
-        return bits, (own_mask if own_mask is not None else mask)
-
-    def submit(self, query: Union[Query, str],
-               mask: Optional[str] = None) -> "Future[ClusterServed]":
-        bits, mask = self._prepare(query, mask)
-        future: "Future[ClusterServed]" = Future()
-        pending = _Pending(bits, mask, future, time.perf_counter())
-        with self._mutex:
-            if self._closed:
-                raise ServiceClosed("cluster service is closed")
-            if len(self._queue) >= self.max_queue:
-                self._overloads += 1
-                raise ServiceOverloaded(
-                    f"cluster queue is full ({self.max_queue})")
-            self._queue.append(pending)
-            self._submitted += 1
-            depth = len(self._queue)
-            if depth > self._max_queue_depth:
-                self._max_queue_depth = depth
-            if depth > 1:
-                self._coalesced += 1
-            self._wakeup.notify()
-        return future
-
-    def search(self, query: Union[Query, str],
-               mask: Optional[str] = None, *,
-               timeout: Optional[float] = None) -> ClusterServed:
-        return self.submit(query, mask).result(timeout)
-
-    async def asearch(self, query: Union[Query, str],
-                      mask: Optional[str] = None) -> ClusterServed:
-        return await asyncio.wrap_future(self.submit(query, mask))
-
     def search_many(self, queries: Sequence[Union[Query, str]],
-                    mask: Optional[str] = None) -> List[ClusterServed]:
-        """Burst door: scatter the whole batch across the workers
-        directly — no dispatcher hop, one wall-clock stamp, lazy
-        results.  This is the path the throughput benchmark measures.
-        """
+                    mask: Optional[str] = None, *,
+                    timeout: Optional[float] = None) -> List[ServedResult]:
+        """Burst door: one scatter on this thread, one counted batch."""
         if not queries:
             return []
         if any(type(query) is not str for query in queries):
-            # Query objects may carry their own masks; the per-request
-            # door handles those individually.
-            futures = [self.submit(query, mask) for query in queries]
-            return [future.result() for future in futures]
-        width = self.store.width
-        prepared: List[str] = []
-        for bits in queries:
-            if not (len(bits) == width
-                    and not bits.translate(_NON_BINARY)):
-                bits, _ = self._prepare(bits, mask)
-            prepared.append(bits)
+            return super().search_many(queries, mask, timeout=timeout)
+        n = len(queries)
         with self._mutex:
             if self._closed:
-                raise ServiceClosed("cluster service is closed")
-            self._submitted += len(prepared)
-            self._direct += len(prepared)
+                raise ServiceClosed("service is closed")
+            self._submitted += n
         start = time.perf_counter()
         try:
-            scattered = self.backend.scatter_search(prepared, mask)
+            with self._rw.read_locked():
+                generation = self.store.generation
+                results = self.store.search_batch(queries, mask,
+                                                  use_cache=False)
         except Exception:
             with self._mutex:
-                self._failed += len(prepared)
+                self._failed += n
             raise
         wall = time.perf_counter() - start
-        out = [ClusterServed(bits, mask, generation, rows, energy,
-                             model_latency, wall)
-               for bits, (generation, rows, energy, model_latency)
-               in zip(prepared, scattered)]
         with self._mutex:
-            self._served += len(out)
+            self._served += n
             self._batches += 1
-            self._batch_sizes[len(out)] += 1
-            self._latencies.record(wall)
-        return out
-
-    async def asearch_many(self, queries: Sequence[Union[Query, str]],
-                           mask: Optional[str] = None
-                           ) -> List[ClusterServed]:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, lambda: self.search_many(queries, mask))
-
-    # -- writes ------------------------------------------------------------------
-
-    def write(self, txn: Callable[[CamStore], Any]) -> Any:
-        """One mutating transaction under writer exclusivity.
-
-        Each store op inside ``txn`` publishes its own seqlock window,
-        so workers may observe intermediate generations of a
-        multi-op transaction — per-op granularity is the cluster's
-        journaling unit, exactly what the serial-replay stress suite
-        replays against.
-        """
-        if self.closed:
-            raise ServiceClosed("cluster service is closed")
-        with self._rw.write_locked():
-            result = txn(self.store)
-        with self._mutex:
-            self._writes += 1
-        return result
-
-    def read(self, fn: Callable[[CamStore], Any]) -> Any:
-        if self.closed:
-            raise ServiceClosed("cluster service is closed")
-        with self._rw.read_locked():
-            return fn(self.store)
-
-    def insert(self, word: str, key: Optional[Hashable] = None, *,
-               priority: Optional[float] = None,
-               payload: Any = None) -> Match:
-        return self.write(lambda store: store.insert(
-            word, key=key, priority=priority, payload=payload))
-
-    def insert_many(self, words: Sequence[str],
-                    keys: Optional[Sequence[Hashable]] = None, *,
-                    priorities: Optional[Sequence[float]] = None,
-                    payloads: Optional[Sequence[Any]] = None
-                    ) -> List[Match]:
-        return self.write(lambda store: store.insert_many(
-            words, keys=keys, priorities=priorities, payloads=payloads))
-
-    def delete(self, key: Hashable) -> Match:
-        return self.write(lambda store: store.delete(key))
-
-    def update(self, key: Hashable, word: str, *,
-               payload: Any = None) -> Match:
-        return self.write(lambda store: store.update(
-            key, word, payload=payload))
-
-    # -- dispatcher (submit/search micro-batching) -------------------------------
-
-    def _next_batch(self) -> Optional[List[_Pending]]:
-        with self._wakeup:
-            while not self._queue and not self._closed:
-                self._wakeup.wait(0.05)
-            if not self._queue:
-                return None
-            batch = []
-            while self._queue and len(batch) < self.max_batch:
-                batch.append(self._queue.popleft())
-            return batch
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            batch = self._next_batch()
-            if batch is None:
-                return
-            # Group by mask: one scatter per mask keeps worker-side
-            # search semantics identical to the fused single-process
-            # batch (a mask applies to a whole kernel call).
-            by_mask: Dict[Optional[str], List[_Pending]] = {}
-            for pending in batch:
-                by_mask.setdefault(pending.mask, []).append(pending)
-            for mask, group in by_mask.items():
-                self._serve(group, mask)
-
-    def _serve(self, group: List[_Pending],
-               mask: Optional[str]) -> None:
-        try:
-            scattered = self.backend.scatter_search(
-                [p.bits for p in group], mask)
-        except Exception as exc:
-            for pending in group:
-                self._fail(pending, exc)
-            return
-        done = time.perf_counter()
-        with self._mutex:
-            self._served += len(group)
-            self._batches += 1
-            self._batch_sizes[len(group)] += 1
-            for pending in group:
-                self._latencies.record(done - pending.enqueued_at)
-        for pending, (generation, rows, energy, model_latency) \
-                in zip(group, scattered):
-            pending.future.set_result(ClusterServed(
-                pending.bits, mask, generation, rows, energy,
-                model_latency, done - pending.enqueued_at))
-
-    def _fail(self, pending: _Pending, error: BaseException) -> None:
-        with self._mutex:
-            self._failed += 1
-        if not pending.future.set_running_or_notify_cancel():
-            return  # pragma: no cover - caller cancelled
-        pending.future.set_exception(error)
-
-    # -- telemetry ---------------------------------------------------------------
-
-    @property
-    def stats(self) -> ServiceStats:
-        with self._rw.read_locked():
-            generation = self.store.generation
-        with self._mutex:
-            sample = self._latencies.snapshot()
-            counters = dict(
-                submitted=self._submitted, served=self._served,
-                failed=self._failed, overloads=self._overloads,
-                queue_depth=len(self._queue),
-                max_queue_depth=self._max_queue_depth,
-                batches=self._batches,
-                batch_size_hist=dict(self._batch_sizes),
-                coalesced=self._coalesced, direct=self._direct,
-                writes=self._writes,
-                generation=generation)
-        return ServiceStats(
-            p50_latency=LatencyReservoir.percentile(sample, 50.0),
-            p99_latency=LatencyReservoir.percentile(sample, 99.0),
-            latency_samples=len(sample),
-            timestamp=time.time(),
-            uptime_s=time.perf_counter() - self._started_mono,
-            **counters)
+            self._batch_sizes[n] += 1
+            if n > 1:
+                self._coalesced += n
+            else:
+                self._direct += 1
+            for _ in range(n):
+                self._latencies.record(wall)
+        # Cluster results are rebuilt in this process from pickled wire
+        # rows, so they share nothing with live entries; freeze() would
+        # only rebuild them a second time (~1 us/query).
+        return [ServedResult(r, generation, wall)  # fecam: noqa[FCA004]
+                for r in results]
 
     def worker_stats(self) -> List[Dict[str, Any]]:
-        """Per-worker telemetry via the stats RPC (per-worker labels
-        for the obs adapter): searches, energy, restarts, pid, the
-        generation each worker currently observes."""
+        """Per-worker telemetry via the stats RPC: searches, energy,
+        restarts, pid, the generation each worker currently observes."""
         return self.backend.worker_telemetry()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "closed" if self.closed else "open"
-        return (f"<ClusterService {state} workers="
-                f"{self.backend.workers} max_batch={self.max_batch}>")

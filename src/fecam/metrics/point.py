@@ -65,7 +65,7 @@ class DesignPoint:
     that tier alone; the paper/analytical tiers ignore them.
 
     >>> DesignPoint(DesignKind.SG_1T5, timings={"t_gap": 0.6e-9}).timings
-    WordTimings(t_settle=7e-10, t_step=1.2e-09, t_gap=6e-10, ...)
+    WordTimings(t_settle=None, t_step=None, t_gap=6e-10, ...)
     """
 
     design: DesignKind

@@ -324,14 +324,12 @@ def instrument_durable(store, registry: MetricsRegistry) -> Unregister:
     return unregister
 
 
-def instrument_cluster(service, registry: MetricsRegistry) -> Unregister:
-    """Mirror a :class:`~fecam.cluster.ClusterService`'s per-worker
-    telemetry, labeled by ``worker``.  The front-door ServiceStats are
-    covered by :func:`instrument_service` (the cluster service keeps
-    the same stats shape on purpose); this adapter adds the replica
-    side: each worker's search counters, published generation, and
-    liveness, gathered over the stats RPC at collect time.  Dead
-    workers keep their last mirrored values and report ``alive`` 0."""
+def instrument_cluster(backend, registry: MetricsRegistry) -> Unregister:
+    """Mirror a :class:`~fecam.cluster.ClusterBackend`'s per-worker
+    telemetry, labeled by ``worker``: each worker's search counters,
+    published generation, and liveness, gathered over the stats RPC at
+    collect time, plus the writer's health.  Dead workers keep their
+    last mirrored values and report ``alive`` 0."""
     g_alive = registry.gauge(
         "fecam_cluster_worker_alive",
         "1 while the worker process is serving, 0 once it has died.",
@@ -372,7 +370,7 @@ def instrument_cluster(service, registry: MetricsRegistry) -> Unregister:
         "1 while the writer accepts mutations, 0 after writer failure.")
 
     def hook() -> None:
-        telemetry = service.worker_stats()
+        telemetry = backend.worker_telemetry()
         alive = 0
         for row in telemetry:
             label = str(row["worker_id"])
@@ -394,7 +392,7 @@ def instrument_cluster(service, registry: MetricsRegistry) -> Unregister:
             g_worst_latency.labels(worker=label).set(
                 row.get("worst_latency", 0.0))
         g_workers.set(alive)
-        g_writer_ok.set(0.0 if service.backend.writer_failed else 1.0)
+        g_writer_ok.set(0.0 if backend.writer_failed else 1.0)
 
     return registry.on_collect(hook)
 
@@ -410,7 +408,6 @@ def instrument(obj, registry: MetricsRegistry) -> Unregister:
     # Imports are local so `fecam.obs` never circularly imports the
     # layers it observes (they import `fecam.obs.trace` for spans).
     from ..cluster.backend import ClusterBackend
-    from ..cluster.service import ClusterService
     from ..durable.store import DurableCamStore
     from ..functional.engine import TernaryCAM
     from ..fabric.fabric import TcamFabric
@@ -422,12 +419,6 @@ def instrument(obj, registry: MetricsRegistry) -> Unregister:
     if isinstance(obj, SearchService):
         unregisters.append(instrument_service(obj, registry))
         unregisters.append(instrument(obj.store, registry))
-    elif isinstance(obj, ClusterService):
-        # Same ServiceStats shape as SearchService, plus the per-worker
-        # replica telemetry behind the cluster's stats RPC.
-        unregisters.append(instrument_service(obj, registry))
-        unregisters.append(instrument_cluster(obj, registry))
-        unregisters.append(instrument(obj.store, registry))
     elif isinstance(obj, CamStore):
         unregisters.append(instrument_store(obj, registry))
         if isinstance(obj, DurableCamStore):
@@ -435,9 +426,10 @@ def instrument(obj, registry: MetricsRegistry) -> Unregister:
         backend = obj.backend
         if isinstance(backend, ClusterBackend):
             # The writer-side fabric is the source of truth for content
-            # and write energy; worker search counters come through
-            # instrument_cluster's per-worker series.
+            # and write energy; worker search counters come through the
+            # per-worker series.
             unregisters.append(instrument(backend.inner.fabric, registry))
+            unregisters.append(instrument_cluster(backend, registry))
         elif isinstance(backend, FabricBackend):
             unregisters.append(instrument(backend.fabric, registry))
     elif isinstance(obj, TcamFabric):
@@ -450,8 +442,7 @@ def instrument(obj, registry: MetricsRegistry) -> Unregister:
     else:
         raise TypeError(
             f"cannot instrument {type(obj).__name__}; expected a "
-            f"SearchService, ClusterService, CamStore, TcamFabric, "
-            f"or TernaryCAM")
+            f"SearchService, CamStore, TcamFabric, or TernaryCAM")
 
     def unregister_all() -> None:
         for unregister in unregisters:

@@ -214,6 +214,81 @@ class Service:
         assert lint_source(tmp_path, source).ok
 
 
+# Lock ownership is inherited: the base lives in another module and the
+# subclasses name it by a dotted path and through another subclass.
+INHERITED_BASE = """\
+from fecam.analysis.markers import requires_lock
+from fecam.service.locks import RWLock
+
+
+class Store:
+    @requires_lock("read")
+    def search_batch(self, queries):
+        return []
+
+
+class Service:
+    def __init__(self, store):
+        self.store = store
+        self._rw = RWLock()
+"""
+
+INHERITED_FCA002 = """\
+import base
+
+
+class ClusterService(base.Service):
+    def search_many(self, queries):
+        return self.store.search_batch(queries)  # BAD: no lock held
+
+    def search_locked(self, queries):
+        with self._rw.read_locked():
+            return len(self.store.search_batch(queries))
+
+
+class Grandchild(ClusterService):
+    def peek(self):
+        return self.store.search_batch([])  # BAD: no lock held
+"""
+
+INHERITED_FCA004 = """\
+from base import Service
+
+
+class ServedResult:
+    def __init__(self, result=None):
+        self.result = result
+
+
+class ClusterService(Service):
+    def serve(self, future):
+        with self._rw.read_locked():
+            results = self.store.search_batch(["1"])
+        future.set_result(ServedResult(results[0]))  # BAD
+"""
+
+
+def lint_with_base(tmp_path: Path, source: str, *, select):
+    (tmp_path / "base.py").write_text(INHERITED_BASE)
+    (tmp_path / "sub.py").write_text(source)
+    return run_lint([tmp_path / "sub.py", tmp_path / "base.py"],
+                    select=select, root=tmp_path)
+
+
+class TestInheritedLockOwnership:
+    def test_subclass_store_access_checked(self, tmp_path):
+        result = lint_with_base(tmp_path, INHERITED_FCA002,
+                                select={"FCA002"})
+        assert codes_and_lines(result) == [
+            ("FCA002", line) for line in expect_lines(INHERITED_FCA002)]
+
+    def test_subclass_live_result_escape_flagged(self, tmp_path):
+        result = lint_with_base(tmp_path, INHERITED_FCA004,
+                                select={"FCA004"})
+        assert codes_and_lines(result) == [
+            ("FCA004", line) for line in expect_lines(INHERITED_FCA004)]
+
+
 # -- FCA003: frozen-dataclass mutation -----------------------------------------
 
 FCA003_FIXTURE = """\

@@ -92,7 +92,61 @@ class TestCmosTruthTable:
         assert r.matched == expected == ternary_match(stored_w, query_w)
 
 
+#: Every design family's default schedule, pinned value for value:
+#: (t_settle, t_step, t_gap, t_trans, t_trans_lines, dt).
+SCHEDULES = {
+    (DesignKind.CMOS_16T, 16): (5e-10, 5.75e-10, 5e-10, 5e-11, 5e-11, 1e-11),
+    (DesignKind.CMOS_16T, 32): (5e-10, 7.5e-10, 5e-10, 5e-11, 5e-11, 1e-11),
+    (DesignKind.CMOS_16T, 64): (5e-10, 1.1e-09, 5e-10, 5e-11, 5e-11, 1e-11),
+    (DesignKind.CMOS_16T, 128): (5e-10, 1.8e-09, 5e-10, 5e-11, 5e-11, 1e-11),
+    (DesignKind.SG_2FEFET, 16): (8e-10, 1.1250000000000001e-09, 5e-10,
+                                 5e-11, 5e-11, 2.5e-11),
+    (DesignKind.SG_2FEFET, 32): (8e-10, 1.75e-09, 5e-10, 5e-11, 5e-11,
+                                 2.5e-11),
+    (DesignKind.SG_2FEFET, 64): (8e-10, 3e-09, 5e-10, 5e-11, 5e-11, 2.5e-11),
+    (DesignKind.SG_2FEFET, 128): (8e-10, 5.5000000000000004e-09, 5e-10,
+                                  5e-11, 5e-11, 2.5e-11),
+    (DesignKind.DG_2FEFET, 16): (8e-10, 2.9e-09, 5e-10, 5e-11, 5e-11, 5e-11),
+    (DesignKind.DG_2FEFET, 32): (8e-10, 4.6e-09, 5e-10, 5e-11, 5e-11, 5e-11),
+    (DesignKind.DG_2FEFET, 64): (8e-10, 7.999999999999999e-09, 5e-10, 5e-11,
+                                 5e-11, 5e-11),
+    (DesignKind.DG_2FEFET, 128): (8e-10, 1.48e-08, 5e-10, 5e-11, 5e-11,
+                                  5e-11),
+    (DesignKind.SG_1T5, 16): (7e-10, 1.125e-09, 5e-10, 5e-11, 2.5e-10,
+                              2.5e-11),
+    (DesignKind.SG_1T5, 32): (7e-10, 1.35e-09, 5e-10, 5e-11, 2.5e-10,
+                              2.5e-11),
+    (DesignKind.SG_1T5, 64): (7e-10, 1.8e-09, 5e-10, 5e-11, 2.5e-10, 2.5e-11),
+    (DesignKind.SG_1T5, 128): (7e-10, 2.7e-09, 5e-10, 5e-11, 2.5e-10,
+                               2.5e-11),
+    (DesignKind.DG_1T5, 16): (7e-10, 1.125e-09, 5e-10, 5e-11, 2.5e-10,
+                              2.5e-11),
+    (DesignKind.DG_1T5, 32): (7e-10, 1.35e-09, 5e-10, 5e-11, 2.5e-10,
+                              2.5e-11),
+    (DesignKind.DG_1T5, 64): (7e-10, 1.8e-09, 5e-10, 5e-11, 2.5e-10, 2.5e-11),
+    (DesignKind.DG_1T5, 128): (7e-10, 2.7e-09, 5e-10, 5e-11, 2.5e-10,
+                               2.5e-11),
+}
+
+
 class TestTimingPlan:
+    @pytest.mark.parametrize("design,n_bits", sorted(
+        SCHEDULES, key=lambda pair: (pair[0].value, pair[1])))
+    def test_default_plan_is_each_designs_schedule(self, design, n_bits):
+        plan = WordTimings().for_design(design, n_bits)
+        assert (plan.t_settle, plan.t_step, plan.t_gap, plan.t_trans,
+                plan.t_trans_lines, plan.dt) == SCHEDULES[design, n_bits]
+
+    @pytest.mark.parametrize("design", list(DesignKind))
+    def test_explicit_fields_survive_for_design(self, design):
+        explicit = WordTimings(t_step=2e-9, dt=5e-12, t_trans_lines=0.1e-9)
+        plan = explicit.for_design(design, 32)
+        assert (plan.t_step, plan.dt, plan.t_trans_lines) == \
+            (2e-9, 5e-12, 0.1e-9)
+        default = WordTimings().for_design(design, 32)
+        assert (plan.t_settle, plan.t_gap, plan.t_trans) == \
+            (default.t_settle, default.t_gap, default.t_trans)
+
     def test_window_scales_with_word_length(self):
         base = WordTimings()
         t16 = base.for_design(DesignKind.DG_1T5, 16)

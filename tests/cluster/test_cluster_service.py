@@ -5,11 +5,14 @@ Real worker processes throughout — every test spawns (or, under
 start-method compatibility gate CI runs under both.
 """
 
+import asyncio
 import os
 import signal
+import threading
 
 import pytest
 
+import fecam.cluster
 from fecam.cluster import ClusterBackend, ClusterService
 from fecam.cluster import backend as cluster_backend
 from fecam.durable.crash import CrashPoint
@@ -18,6 +21,7 @@ from fecam.errors import (ClusterWriterFailed, OperationError, ServiceClosed,
                           WorkerUnavailable)
 from fecam.obs import MetricsRegistry
 from fecam.obs.adapters import instrument
+from fecam.service import ServedResult
 from fecam.store import CamStore, Query
 
 from cluster_utils import make_config
@@ -107,6 +111,67 @@ class TestServingParity:
         assert service.backend.generation_published == generation
         assert service.backend.arena.seq % 2 == 0  # window closed
         assert service.search(PROBES[0]).match_keys == ["a"]
+
+    def test_every_door_returns_served_result(self, service):
+        service.insert(WORDS[0], key="a")
+
+        async def async_doors():
+            return [await service.asearch(PROBES[0]),
+                    *await service.asearch_many([PROBES[0]] * 2)]
+
+        served = [service.search(PROBES[0]),
+                  service.submit(PROBES[0]).result(timeout=10),
+                  *service.search_many([PROBES[0]] * 2),
+                  *asyncio.run(async_doors())]
+        assert all(type(result) is ServedResult for result in served)
+        assert [result.match_keys for result in served] == [["a"]] * 7
+        # ServedResult is the one result type: no cluster twin to import.
+        assert not [name for name in dir(fecam.cluster)
+                    if name.endswith("Served")]
+
+    def test_mixed_mask_query_burst_matches_per_query_search(self, service):
+        service.insert_many(WORDS, keys=KEYS)
+        burst = [Query("111100000000", mask="111111110000"),
+                 Query("000000000000", mask="000011110000"),
+                 PROBES[0], Query(PROBES[1])]
+        served = service.search_many(burst)
+        singles = [service.search(query) for query in burst]
+        assert [r.match_keys for r in served] == \
+            [r.match_keys for r in singles]
+        assert [r.result.energy for r in served] == \
+            [r.result.energy for r in singles]
+        assert served[0].match_keys == ["d", "f"]
+
+    def test_write_waits_for_an_in_flight_burst(self, service, monkeypatch):
+        service.insert_many(WORDS, keys=KEYS)
+        before = service.read(lambda store: store.generation)
+        backend = service.backend
+        scatter = backend.scatter_search
+        entered, release = threading.Event(), threading.Event()
+
+        def held_scatter(queries, mask=None):
+            entered.set()
+            release.wait(10)
+            return scatter(queries, mask)
+
+        monkeypatch.setattr(backend, "scatter_search", held_scatter)
+        burst, wrote = [], threading.Event()
+        reader = threading.Thread(
+            target=lambda: burst.extend(service.search_many(PROBES)))
+        writer = threading.Thread(target=lambda: (
+            service.write(lambda store: store.delete("a")), wrote.set()))
+        reader.start()
+        assert entered.wait(10)
+        writer.start()
+        assert not wrote.wait(0.3)  # held behind the burst's read lock
+        release.set()
+        reader.join(10)
+        writer.join(10)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert wrote.is_set()
+        assert [r.generation for r in burst] == [before] * len(PROBES)
+        assert "a" in burst[0].match_keys
+        assert service.read(lambda store: store.generation) == before + 1
 
 
 class TestWorkerDeath:
@@ -227,7 +292,12 @@ class TestTelemetry:
         assert stats.submitted == 1 + len(PROBES)
         assert stats.served == 1 + len(PROBES)
         assert stats.writes == 1
-        assert stats.direct == len(PROBES)
+        # One stats definition with the in-process service: the single
+        # search dispatched alone, the burst is one fused batch.
+        assert stats.batches == 2
+        assert stats.batch_size_hist == {1: 1, len(PROBES): 1}
+        assert stats.coalesced == len(PROBES)
+        assert stats.direct == 1
         assert stats.generation == 1
         assert stats.p50_latency > 0
 
@@ -264,6 +334,23 @@ class TestTelemetry:
         assert "fecam_service_served_total" in by_name
         assert "fecam_fabric_bank_occupancy" in by_name
         unregister()
+
+    def test_obs_instrument_store_exports_per_worker_series(self, service):
+        registry = MetricsRegistry()
+        unregister = instrument(service.store, registry)
+        service.insert_many(WORDS, keys=KEYS)
+        service.search_many(PROBES)
+        by_name = {s.name: s for s in registry.collect()}
+        searches = by_name["fecam_cluster_worker_searches_total"]
+        assert sum(s.value for s in searches.samples) == len(PROBES)
+        assert by_name["fecam_cluster_workers"].samples[0].value == 2.0
+        assert "fecam_service_served_total" not in by_name
+        unregister()
+
+    def test_store_stats_count_burst_queries(self, service):
+        service.insert_many(WORDS, keys=KEYS)
+        service.search_many(PROBES)
+        assert service.store.stats.searches == len(PROBES)
 
 
 class TestLifecycle:
@@ -304,7 +391,6 @@ class TestLifecycle:
             backend.close()
 
     def test_start_method_round_trips(self, cluster_config):
-        method = service_method = None
         with ClusterService(config=cluster_config, workers=1) as service:
             service_method = service.backend.start_method
             service.insert(WORDS[0], key="a")
@@ -314,7 +400,6 @@ class TestLifecycle:
         with pytest.raises(OperationError):
             ClusterBackend(cluster_config, workers=1,
                            start_method="not-a-method")
-        del method
 
 
 class TestDurableRecoveryIntoCluster:

@@ -207,6 +207,14 @@ class TestRegistry:
                              timings={"dt": 25e-12})
         assert fom.latency_total > 0
 
+    def test_spice_tier_honours_a_t_step_override(self):
+        """An explicit evaluation window reaches the transient schedule."""
+        default = evaluate(DesignPoint(DesignKind.DG_1T5, word_length=16),
+                           "spice")
+        longer = evaluate(DesignPoint(DesignKind.DG_1T5, word_length=16,
+                                      timings={"t_step": 2e-9}), "spice")
+        assert longer.latency_total > default.latency_total
+
 
 class TestFom:
     def test_edp_consistent(self):
