@@ -3,9 +3,8 @@
 A lint run is two passes over the parsed module set.  Pass one lets
 every rule *collect* project-wide facts (which classes are frozen
 dataclasses, which methods carry ``@requires_lock`` markers, which
-classes own an ``RWLock``); rules then *resolve* the facts that join
-files (a subclass inherits lock ownership from a base defined
-elsewhere); pass two *checks* each module against those facts.
+classes own an ``RWLock``) and then *resolve* cross-file facts (lock
+ownership inherited from a base); pass two *checks* each module.
 Cross-file knowledge is what makes repo-specific rules like
 lock discipline possible at all — a single-file linter cannot know that
 ``CamStore.insert`` is a writer-locked operation when it sees
@@ -120,9 +119,8 @@ class Rule:
         """Pass 1: record project-wide facts from ``module``."""
 
     def resolve(self, project: Project) -> None:
-        """After every module's collect pass: derive the facts that
-        span modules (e.g. lock ownership inherited from a base class
-        defined in another file)."""
+        """After every collect pass: derive facts that span modules
+        (e.g. lock ownership inherited from a base in another file)."""
 
     def check(self, module: Module,
               project: Project) -> Iterator[Violation]:

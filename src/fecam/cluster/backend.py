@@ -519,9 +519,8 @@ class ClusterBackend(SearchBackend):
         queries = list(queries)
         if not queries:
             return []
-        # Positional builds: wire rows are already in Match field order,
-        # and keyword construction runs ~3x slower per Match — a
-        # measurable share of the burst door's per-query cost.
+        # Positional builds: wire rows are in Match field order, and
+        # keyword construction costs the burst door ~3x more per Match.
         return [QueryResult(Query(bits, mask),
                             [Match(*row) for row in rows], energy, latency)
                 for bits, (_, rows, energy, latency)

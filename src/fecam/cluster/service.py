@@ -11,6 +11,10 @@ the kernel runs in the workers, so the one dispatcher thread would only
 serialise parent-side work and keep one scatter in flight.  Bursts of
 :class:`~fecam.store.Query` objects (per-query masks) still go through
 the dispatcher, which groups them by mask.
+
+A hung worker stalls writers, and every read behind a waiting writer,
+for up to ``_SEND_RETRIES + 1`` rounds x workers x (``read_timeout +
+REPLY_SLACK_S``) plus respawn time (see ``scatter_search``).
 """
 
 from __future__ import annotations
@@ -33,18 +37,17 @@ class ClusterService(SearchService):
 
     Builds and owns a :class:`ClusterBackend` store from ``config``, or
     fronts a given cluster ``store`` (owned only if ``owns_backend``).
-    Other keywords go to :class:`~fecam.service.SearchService`; the
-    store's query cache is never consulted.
+    The store's query cache is never consulted.
     """
 
     def __init__(self, store: Optional[CamStore] = None, *,
                  config: Optional[StoreConfig] = None, workers: int = 2,
+                 max_batch: int = 256, max_queue: int = 4096,
+                 latency_window: int = 4096, start: bool = True,
                  start_method: Optional[str] = None,
                  shm_dir: Optional[str] = None,
                  read_timeout: float = 5.0, respawn: bool = True,
-                 owns_backend: Optional[bool] = None,
-                 max_batch: int = 256, max_queue: int = 4096,
-                 **service_kwargs: Any):
+                 owns_backend: Optional[bool] = None):
         if store is None:
             if config is None:
                 raise OperationError(
@@ -63,7 +66,8 @@ class ClusterService(SearchService):
         self.backend: ClusterBackend = backend
         self._owns_backend = bool(owns_backend)
         super().__init__(store, max_batch=max_batch, max_queue=max_queue,
-                         use_cache=False, **service_kwargs)
+                         start=start, latency_window=latency_window,
+                         use_cache=False)
 
     def close(self, *, drain: bool = True,
               timeout: Optional[float] = None) -> bool:
@@ -98,13 +102,8 @@ class ClusterService(SearchService):
             raise
         wall = time.perf_counter() - start
         with self._mutex:
+            self._count_batch(n)
             self._served += n
-            self._batches += 1
-            self._batch_sizes[n] += 1
-            if n > 1:
-                self._coalesced += n
-            else:
-                self._direct += 1
             for _ in range(n):
                 self._latencies.record(wall)
         # Cluster results are rebuilt in this process from pickled wire

@@ -89,8 +89,9 @@ class DesignPoint:
             raise OperationError("step1_miss_rate must be in [0, 1]")
         if self.timings is not None:
             # Normalize dict overrides into the frozen timing plan so the
-            # point is hashable, and fold an all-defaults plan back to
-            # None — equivalent overrides must share one registry slot.
+            # point is hashable, and fold a plan that resolves to this
+            # design's schedule back to None — equivalent overrides must
+            # share one registry slot.
             from ..cam.word import WordTimings
 
             timings = self.timings
@@ -103,7 +104,9 @@ class DesignPoint:
                 raise OperationError(
                     "timings must be a WordTimings or a mapping of its "
                     f"field overrides, got {type(timings).__name__}")
-            if timings == WordTimings():
+            if (timings.for_design(self.design, self.word_length)
+                    == WordTimings().for_design(self.design,
+                                                self.word_length)):
                 timings = None
             object.__setattr__(self, "timings", timings)
 

@@ -674,12 +674,7 @@ class SearchService:
         completed_at = time.perf_counter()
         size = len(batch)
         with self._mutex:
-            self._batches += 1
-            self._batch_sizes[size] += 1
-            if size > 1:
-                self._coalesced += size
-            else:
-                self._direct += 1
+            self._count_batch(size)
         slow_log = obs.slow_log if obs is not None else None
         # Hoist the threshold so the per-request slow check is one
         # float compare; record() (kwargs build, JSON dump) only runs
@@ -732,6 +727,15 @@ class SearchService:
                          if error is None for pending in group]
             if latencies:
                 obs.record_latencies(latencies)
+
+    def _count_batch(self, size: int) -> None:
+        """Count one dispatch of ``size`` requests; caller holds _mutex."""
+        self._batches += 1
+        self._batch_sizes[size] += 1
+        if size > 1:
+            self._coalesced += size
+        else:
+            self._direct += 1
 
     def _complete_batch(
             self, deliveries: "List[Tuple[_Pending, ServedResult]]"

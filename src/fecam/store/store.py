@@ -23,6 +23,7 @@ config edit.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -115,6 +116,8 @@ class CamStore:
         self._array_searches = 0
         self._writes = 0
         self._worst_latency = 0.0
+        # Readers share the read lock; the search counters need their own.
+        self._stats_lock = threading.Lock()
 
     # -- layout ------------------------------------------------------------------
 
@@ -341,15 +344,16 @@ class CamStore:
             computed_n = len(unique)
             with trace_stage("backend.search_batch", queries=len(unique)):
                 computed = self.backend.search_batch(unique, mask)
-            self._searches += len(unique)
-            self._array_searches += len(unique)
-            for result in computed:
-                self._worst_latency = max(self._worst_latency,
-                                          result.latency)
+            worst = max(result.latency for result in computed)
+            with self._stats_lock:
+                self._searches += len(unique)
+                self._array_searches += len(unique)
+                self._worst_latency = max(self._worst_latency, worst)
             return computed
 
         def count_served() -> None:
-            self._searches += 1
+            with self._stats_lock:
+                self._searches += 1
 
         targets = trace_active()
         if not targets:

@@ -9,6 +9,7 @@ import asyncio
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -267,6 +268,47 @@ class TestWorkerHang:
             with pytest.raises(WorkerUnavailable):
                 backend.scatter_search(PROBES)
 
+    def test_write_behind_a_burst_on_a_stopped_worker_is_bounded(
+            self, cluster_config, monkeypatch):
+        """The burst holds the read lock while it waits out the silent
+        worker; the writer proceeds once the burst has rehashed, within
+        the stated bound: rounds x workers x reply timeout."""
+        read_timeout, slack, workers = 0.2, 0.5, 2
+        with ClusterService(config=cluster_config, workers=workers,
+                            respawn=False,
+                            read_timeout=read_timeout) as service:
+            service.insert_many(WORDS, keys=KEYS)
+            backend = service.backend
+            backend.scatter_search(PROBES)  # workers have booted
+            before = service.read(lambda store: store.generation)
+            monkeypatch.setattr(cluster_backend, "REPLY_SLACK_S", slack)
+            scatter = backend.scatter_search
+            entered, entered_at = threading.Event(), []
+
+            def observed_scatter(queries, mask=None):
+                entered_at.append(time.perf_counter())
+                entered.set()
+                return scatter(queries, mask)
+
+            monkeypatch.setattr(backend, "scatter_search", observed_scatter)
+            stop_worker(service, backend.ring.partition(PROBES)[0][0])
+            burst = []
+            reader = threading.Thread(
+                target=lambda: burst.extend(service.search_many(PROBES)))
+            reader.start()
+            assert entered.wait(10)
+            service.write(lambda store: store.delete("a"))
+            waited = time.perf_counter() - entered_at[0]
+            reader.join(10)
+            assert not reader.is_alive()
+            bound = ((cluster_backend._SEND_RETRIES + 1) * workers
+                     * (read_timeout + slack))
+            assert read_timeout + slack <= waited < bound
+            assert len(backend.ring.nodes) == workers - 1
+            assert [r.generation for r in burst] == [before] * len(PROBES)
+            assert "a" in burst[0].match_keys
+            assert service.read(lambda store: store.generation) == before + 1
+
 
 class TestWriterDeath:
     def test_writes_fail_fast_reads_keep_serving(self, service):
@@ -351,6 +393,31 @@ class TestTelemetry:
         service.insert_many(WORDS, keys=KEYS)
         service.search_many(PROBES)
         assert service.store.stats.searches == len(PROBES)
+
+    def test_concurrent_bursts_lose_no_counts(self, service):
+        """Bursts search on their callers' threads, all under the shared
+        read lock: store and service counters must still add up."""
+        service.insert_many(WORDS, keys=KEYS)
+        threads, rounds = 4, 25
+        barrier = threading.Barrier(threads)
+
+        def caller():
+            barrier.wait()
+            for _ in range(rounds):
+                service.search_many(PROBES)
+
+        pool = [threading.Thread(target=caller) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(30)
+        total = threads * rounds * len(PROBES)
+        assert service.store.stats.searches == total
+        assert service.store.stats.array_searches == total
+        stats = service.stats
+        assert stats.served == stats.submitted == total
+        assert stats.batches == threads * rounds
+        assert stats.batch_size_hist == {len(PROBES): threads * rounds}
 
 
 class TestLifecycle:

@@ -63,6 +63,18 @@ class TestDesignPoint:
         assert (DesignPoint(DesignKind.DG_1T5, timings={})
                 == DesignPoint(DesignKind.DG_1T5))
 
+    def test_overrides_equal_to_the_schedule_fold_to_none(self):
+        """The fold compares resolved plans: spelling out a value of the
+        design's own schedule is no override."""
+        assert DesignPoint(DesignKind.DG_1T5,
+                           timings={"t_gap": 0.5e-9}).timings is None
+        assert DesignPoint(DesignKind.DG_1T5, word_length=64,
+                           timings={"t_step": 1.8e-9}).timings is None
+        # 1.5T1Fe's slow line edge is not the 2FeFET schedule.
+        assert DesignPoint(DesignKind.DG_2FEFET,
+                           timings={"t_trans_lines": 0.25e-9}).timings \
+            == WordTimings(t_trans_lines=0.25e-9)
+
     def test_key_rounds_miss_rate(self):
         a = DesignPoint(DesignKind.DG_1T5, step1_miss_rate=0.9)
         b = DesignPoint(DesignKind.DG_1T5, step1_miss_rate=0.90004)
