@@ -10,9 +10,9 @@ One ``SearchService`` serves a batch of lookups with the full
   wait, coalesce wait, lock wait, kernel, result freeze) as JSON lines;
 * a slow-query log catching requests over a latency threshold.
 
-The script finishes by checking the traces the way the overhead
-benchmark does: every sampled request's stage durations must sum to
-within tolerance of its end-to-end latency.
+The script finishes by checking the traces the way the obs tests do:
+every sampled request's stage durations must sum to within tolerance
+of its end-to-end latency.
 
 Run:  PYTHONPATH=src python examples/observe_service.py
 """

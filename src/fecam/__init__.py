@@ -59,8 +59,6 @@ Layered public API:
   one-shot matching), all served by :class:`~fecam.store.CamStore`;
   the router and classifier can serve concurrent traffic via
   ``serve()``.
-* :mod:`fecam.bench` — experiment harness regenerating every paper
-  table/figure.
 
 Quickstart::
 
@@ -92,7 +90,6 @@ from . import service  # noqa: F401
 from . import durable  # noqa: F401
 from . import obs  # noqa: F401
 from . import apps  # noqa: F401
-from . import bench  # noqa: F401
 from .fabric import TcamFabric  # noqa: F401  (system tier, raw fabric)
 from .metrics import (DesignPoint, Fom, evaluate,  # noqa: F401
                       sweep)
@@ -108,4 +105,4 @@ __all__ = ["DesignKind", "CamStore", "StoreConfig", "Query", "Match",
            "sweep", "SearchService", "ServedResult", "ServiceStats",
            "planes", "spice", "devices", "cam", "arch", "metrics",
            "functional", "fabric", "store", "service", "durable", "obs",
-           "apps", "bench", "__version__"]
+           "apps", "__version__"]

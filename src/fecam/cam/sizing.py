@@ -140,7 +140,7 @@ def explore_sizing(design: DesignKind, *,
     """Sweep candidate sizings; returns margins sorted best-first.
 
     This is the Sec. V-C style design-space exploration that selected the
-    frozen defaults; the ablation bench regenerates it.
+    frozen defaults.
     """
     base = cell_sizing(design)
     results: List[DividerMargins] = []

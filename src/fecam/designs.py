@@ -1,7 +1,7 @@
 """The five TCAM designs evaluated in the paper, as a shared enum.
 
 Every layer of the library (device calibration, cell netlists, area model,
-behavioral engine, bench harness) keys off :class:`DesignKind`, so the
+behavioral engine, metrics) keys off :class:`DesignKind`, so the
 mapping from a paper column to code is one symbol.
 """
 

@@ -16,7 +16,7 @@ by tests:
 * A 10 ns write pulse fully switches at Vw and *half*-switches at
   Vm = 0.8 * Vw — the intermediate MVT ('X') state of Tab. II/III.
 
-Everything downstream (cells, arrays, benches) pulls parameters from here,
+Everything downstream (cells, arrays, metrics) pulls parameters from here,
 so re-calibration is a one-file change.
 """
 

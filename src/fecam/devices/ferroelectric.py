@@ -181,8 +181,7 @@ class FerroelectricLayer:
         """Trace a triangular field sweep and return (E, P) arrays.
 
         Runs two full cycles so the returned (second-cycle) loop is the
-        steady-state hysteresis loop; used by characterization tests and
-        the Fig. 1 device bench.
+        steady-state hysteresis loop; used by characterization tests.
         """
         dt = period / (4.0 * points_per_branch)
         fields = []

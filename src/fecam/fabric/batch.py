@@ -168,7 +168,7 @@ def fused_count_matches(planes: TernaryPlanes, q_values: np.ndarray,
     :class:`~fecam.errors.KernelUnavailableError` instead of falling
     back when it cannot be built).  ``reuse_cache=False`` recomputes
     every derived plane from scratch — the cache-free reference used by
-    the coherence tests and the benchmark's pre-planes baseline.
+    the coherence tests.
 
     ``reuse_buffers=True`` serves the count matrices from a
     thread-local scratch arena instead of fresh allocations; the caller

@@ -2,7 +2,7 @@
 
 The metrology counterpart of the :mod:`fecam.store` facade: every
 consumer that needs figures of merit — stores pricing their searches,
-benches regenerating Table IV / Fig. 7, sweeps exploring word lengths —
+tests checking Table IV / Fig. 7, sweeps exploring word lengths —
 asks the same three questions through one front door:
 
 * :class:`DesignPoint` — a frozen, hashable design-space coordinate;

@@ -285,7 +285,7 @@ def instrument_durable(store, registry: MetricsRegistry) -> Unregister:
     prev_snapshot = store.on_snapshot
 
     # Inline taps chain rather than replace, so stacking adapters (or a
-    # bench harness tapping alongside) keeps everyone fed.
+    # test harness tapping alongside) keeps everyone fed.
     def on_append(seconds: float, nbytes: int) -> None:
         h_append.observe(seconds)
         if prev_append is not None:

@@ -190,8 +190,8 @@ class Histogram(_Child):
         in one call, so per-request overhead amortizes across the batch.
         Large batches sort once (C timsort) and walk the bounds with
         one C bisect each — O(bounds) interpreter iterations per batch
-        instead of O(values), which is what keeps metrics-only serving
-        overhead under the benchmark's 1% ceiling.
+        instead of O(values), which keeps metrics-only serving overhead
+        a small fraction of the dispatch cost.
         """
         if not values:
             return

@@ -10,8 +10,8 @@ this module re-exports the full :mod:`fecam` API so both spellings work::
 """
 
 from fecam import *  # noqa: F401,F403
-from fecam import (DesignKind, __version__, apps, arch, bench, cam, devices,
+from fecam import (DesignKind, __version__, apps, arch, cam, devices,
                    functional, spice)
 
 __all__ = ["DesignKind", "spice", "devices", "cam", "arch", "functional",
-           "apps", "bench", "__version__"]
+           "apps", "__version__"]

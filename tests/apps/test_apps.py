@@ -316,6 +316,15 @@ class TestGenomics:
         read = ref[100:140]
         assert vote_alignment(read, idx) == 100
 
+    def test_vote_alignment_maps_exact_reads(self):
+        rng = random.Random(13)
+        ref = "".join(rng.choice("ACGT") for _ in range(512))
+        idx = SeedIndex(ref, k=8)
+        starts = [rng.randrange(0, 512 - 48) for _ in range(16)]
+        correct = sum(vote_alignment(ref[s:s + 48], idx) == s
+                      for s in starts)
+        assert correct >= 14  # near-perfect mapping on exact reads
+
     def test_vote_alignment_none_for_foreign_read(self):
         idx = SeedIndex("A" * 64, k=8)
         assert vote_alignment("C" * 16, idx) is None

@@ -103,12 +103,16 @@ class TestAnalyticalEstimator:
         assert lat[DesignKind.DG_1T5] < lat[DesignKind.DG_2FEFET]
 
     def test_within_3x_of_spice(self):
-        """Cross-check against the transient tier (same physics inputs)."""
-        for d in (DesignKind.SG_2FEFET, DesignKind.DG_1T5):
-            spice = evaluate_array(d, word_length=32)
-            quick = estimate_search(d, 32)
-            ratio = quick.latency_per_eval / spice.latency_1step
-            assert 1 / 3 < ratio < 3, (d, ratio)
+        """Cross-check against the transient tier (same physics inputs):
+        latency within 3x, energy within 4x."""
+        for d in DesignKind.fefet_designs():
+            for n in (32, 64):
+                spice = evaluate_array(d, word_length=n)
+                quick = estimate_search(d, n)
+                ratio = quick.latency_per_eval / spice.latency_1step
+                assert 1 / 3 < ratio < 3, (d, n, ratio)
+                ratio = quick.energy_per_bit / spice.search_energy_avg
+                assert 1 / 4 < ratio < 4, (d, n, ratio)
 
     def test_validation(self):
         with pytest.raises(OperationError):

@@ -48,6 +48,10 @@ class TestWriteController:
         assert e[DesignKind.DG_2FEFET] == pytest.approx(0.81e-15, rel=0.02)
         assert e[DesignKind.SG_1T5] == pytest.approx(0.82e-15, rel=0.02)
         assert e[DesignKind.DG_1T5] == pytest.approx(0.41e-15, rel=0.02)
+        sg = e[DesignKind.SG_2FEFET]
+        assert sg == pytest.approx(2 * e[DesignKind.DG_2FEFET], rel=0.01)
+        assert sg == pytest.approx(2 * e[DesignKind.SG_1T5], rel=0.01)
+        assert sg == pytest.approx(4 * e[DesignKind.DG_1T5], rel=0.01)
 
     def test_x_write_energy_extra_step(self):
         wc = WriteController(DesignKind.DG_1T5)

@@ -98,7 +98,7 @@ class TestReport:
     def test_x_state_drift_reported_for_1t5(self):
         r = reliability_report(DesignKind.DG_1T5)
         assert r["retention_vth_drift_x_v"] is not None
-        assert r["retention_vth_drift_x_v"] >= 0
+        assert r["retention_vth_drift_x_v"] > 0  # the MVT level drifts
         r2 = reliability_report(DesignKind.DG_2FEFET)
         assert r2["retention_vth_drift_x_v"] is None
 

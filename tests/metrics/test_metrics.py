@@ -12,8 +12,8 @@ from fecam.metrics import (ANALYTICAL_ENERGY_FACTOR,
                            FIDELITIES, Fom, clear_registry, evaluate,
                            registry_size, sweep, sweep_records)
 
-# Stated cross-tier tolerance, shared with the fidelity benchmark: the
-# closed-form tier must agree with SPICE within these factors.
+# Stated cross-tier tolerance (fecam.metrics): the closed-form tier
+# must agree with SPICE within these factors.
 LATENCY_FACTOR = ANALYTICAL_LATENCY_FACTOR
 ENERGY_FACTOR = ANALYTICAL_ENERGY_FACTOR
 
@@ -136,12 +136,27 @@ class TestPaperTier:
             clear_registry()
 
 
+def _agreement_grid():
+    """Every FeFET design over the Fig. 7 word lengths.  N=32, the
+    original single point, keeps its bare design id."""
+    for design in DesignKind.fefet_designs():
+        for n in (16, 32, 64, 128):
+            marks = ()
+            if design is DesignKind.SG_2FEFET and n == 128:
+                marks = pytest.mark.xfail(strict=True, reason=(
+                    "known residual: the closed-form tier overestimates "
+                    "2SG search energy at N=128 by 2.547x, just past "
+                    "ANALYTICAL_ENERGY_FACTOR=2.5"))
+            yield pytest.param(design, n, marks=marks, id=(
+                design.name if n == 32 else f"{design.name}-{n}"))
+
+
 class TestCrossTierConsistency:
-    @pytest.mark.parametrize("design", DesignKind.fefet_designs(),
-                             ids=lambda d: d.name)
-    def test_analytical_agrees_with_spice(self, design):
-        quick = evaluate(DesignPoint(design, word_length=32), "analytical")
-        truth = evaluate(DesignPoint(design, word_length=32), "spice")
+    @pytest.mark.parametrize("design,word_length", _agreement_grid())
+    def test_analytical_agrees_with_spice(self, design, word_length):
+        point = DesignPoint(design, word_length=word_length)
+        quick = evaluate(point, "analytical")
+        truth = evaluate(point, "spice")
         for attr, factor in (("latency_1step", LATENCY_FACTOR),
                              ("latency_total", LATENCY_FACTOR),
                              ("search_energy_1step", ENERGY_FACTOR),
