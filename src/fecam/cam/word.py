@@ -77,11 +77,14 @@ class WordTimings:
         """The complete plan: explicit fields kept, ``None`` fields set to
         the design family's schedule at this word length.
 
-        A self-timed search closes its window when the slowest mismatch
-        has developed: a word-length-independent SL_bar settling term plus
-        an ML discharge term that grows with the ML load — which is why
-        the paper's Fig. 7 latency grows with word length and why the
-        1.5T1Fe divider energy per bit grows with it too (Sec. V-C).
+        ``t_step`` is a fixed window per search step, scaled with word
+        length; the sense decision does not close it early (the search
+        is not self-timed).  The window is sized for the slowest
+        mismatch to develop: a word-length-independent SL_bar settling
+        term plus an ML discharge term that grows with the ML load —
+        which is why the paper's Fig. 7 latency grows with word length
+        and why the 1.5T1Fe divider energy per bit grows with it too
+        (Sec. V-C).
         """
         scale = n_bits / 64.0
         if design is DesignKind.CMOS_16T:

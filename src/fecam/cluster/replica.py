@@ -57,22 +57,15 @@ class Replica:
         if generation != self._meta_generation:
             blob = self.arena.read_meta()
             placements = pickle.loads(blob) if blob else []
-            fabric = self.fabric
-            rows_per_bank = fabric.rows_per_bank
-            row_entry: List[List[Optional[Match]]] = [
-                [None] * rows_per_bank for _ in range(fabric.num_banks)]
-            entries: Dict[Hashable, Match] = {}
-            for key, word, priority, payload, seq, bank, row in placements:
-                entry = Match(key=key, word=word, priority=priority,
-                              bank=bank, row=row, payload=payload, seq=seq)
-                entries[key] = entry
-                row_entry[bank][row] = entry
-            fabric._entries = entries
-            fabric._row_entry = row_entry
+            self.fabric.load_entries(
+                [Match(key=key, word=word, priority=priority, bank=bank,
+                       row=row, payload=payload, seq=seq)
+                 for key, word, priority, payload, seq, bank, row
+                 in placements])
             # Planes content changed under us: move the local planes
             # generation to the published one so derived-plane and
             # step-1-index memos re-key (they compare generations).
-            fabric.arena.generation = generation
+            self.fabric.arena.generation = generation
             self._meta_generation = generation
         return generation
 
@@ -99,8 +92,8 @@ class Replica:
         """
         def attempt():
             generation = self._refresh()
-            return generation, self.fabric.search_batch(list(queries),
-                                                        mask)
+            return generation, self.fabric.search_normalized(
+                list(queries), mask)
         generation, raw = self.arena.read_consistent(
             attempt, timeout=self.read_timeout, on_retry=self._bust)
         matches = [
@@ -116,8 +109,8 @@ class Replica:
             "generation": self.arena.generation,
             "searches": fabric._searches,
             "energy": sum(b.cam.energy_spent for b in fabric.banks),
-            "rows_examined": sum(fabric._rows_examined),
-            "step1_eliminated": sum(fabric._step1_eliminated),
+            "rows_examined": int(fabric._rows_examined.sum()),
+            "step1_eliminated": int(fabric._step1_eliminated.sum()),
             "worst_latency": fabric._worst_latency,
-            "occupancy": len(fabric._entries),
+            "occupancy": fabric.occupancy,
         }

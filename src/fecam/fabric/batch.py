@@ -53,7 +53,7 @@ from .. import kernels as _kernels
 from ..analysis.markers import hot_path
 from ..errors import TernaryValueError
 from ..cam.states import normalize_query
-from ..functional.engine import TernaryCAM, pack_words
+from ..functional.engine import TernaryCAM, pack_bitplane
 from ..planes import (DerivedPlanes, Step1Index, TernaryPlanes,
                       build_step1_index, compress_even, masked_derived)
 
@@ -85,10 +85,11 @@ def normalize_queries(queries: Sequence[str], width: int) -> List[str]:
     """
     queries = list(queries)
     try:
-        if all(len(q) == width for q in queries):
+        if set(map(len, queries)) <= {width}:
             buf = "".join(queries).encode("ascii")
             sym = np.frombuffer(buf, dtype=np.uint8)
-            if ((sym == _ORD_0) | (sym == _ORD_1)).all():
+            # x | 1 == ord("1") exactly for x in (ord("0"), ord("1")).
+            if ((sym | 1) == _ORD_1).all():
                 return queries  # already canonical
     except TypeError:
         pass  # non-string entries take the slow path below
@@ -103,9 +104,12 @@ def normalize_queries(queries: Sequence[str], width: int) -> List[str]:
 
 
 def pack_queries(queries: Sequence[str], width: int) -> np.ndarray:
-    """Pack canonical binary queries into a ``(Q, n_chunks)`` matrix."""
-    values, _ = pack_words(list(queries), width)
-    return values
+    """Pack canonical binary queries (the output of
+    :func:`normalize_queries`) into a ``(Q, n_chunks)`` matrix — the
+    value plane of :func:`~fecam.functional.engine.pack_words`, without
+    re-validating symbols or building a care plane."""
+    sym = np.frombuffer("".join(queries).encode("ascii"), dtype=np.uint8)
+    return pack_bitplane(sym.reshape(len(queries), width) == _ORD_1, width)
 
 
 @dataclass
@@ -129,18 +133,20 @@ class BankBatchCounts:
 class FusedBatchCounts:
     """Per-(bank, query) match statistics of one arena-wide kernel pass.
 
-    ``match_rows`` holds *global arena* row indices (bank ``row //
-    rows_per_bank``, local row ``row % rows_per_bank``), grouped by
-    query with rows ascending — which, rows being contiguous per bank,
-    is exactly the bank-major order a loop of per-bank kernels emits.
+    ``match_q``/``match_rows`` are parallel int64 arrays of (query
+    index, matching row) pairs.  The rows are *global arena* indices
+    (bank ``row // rows_per_bank``, local row ``row % rows_per_bank``),
+    grouped by query with rows ascending — which, rows being contiguous
+    per bank, is exactly the bank-major order a loop of per-bank
+    kernels emits.
     """
 
     rows_searched: np.ndarray     # (B,) int64 — valid rows per bank
     step1_eliminated: np.ndarray  # (B, Q) int64
     step2_misses: np.ndarray      # (B, Q) int64
     full_matches: np.ndarray      # (B, Q) int64
-    match_q: List[int]
-    match_rows: List[int]
+    match_q: np.ndarray           # (P,) int64
+    match_rows: np.ndarray        # (P,) int64
     kernel: str                   # "table" | "dense" | "mixed" (telemetry)
 
 
@@ -250,7 +256,7 @@ def fused_count_matches(planes: TernaryPlanes, q_values: np.ndarray,
                                 np.zeros((n_banks, n_queries), np.int64),
                                 np.zeros((n_banks, n_queries), np.int64),
                                 np.zeros((n_banks, n_queries), np.int64),
-                                [], [], kernel="dense")
+                                _NO_PAIRS, _NO_PAIRS, kernel="dense")
 
     if compiled is not None:
         # The compiled backend compresses queries in C and writes every
@@ -266,8 +272,8 @@ def fused_count_matches(planes: TernaryPlanes, q_values: np.ndarray,
 
     step1, step2, full = _count_buffers(n_banks, n_queries,
                                         zero=True, reuse=reuse_buffers)
-    match_q: List[int] = []
-    match_rows: List[int] = []
+    match_q: List[np.ndarray] = []
+    match_rows: List[np.ndarray] = []
     # Queries compressed once, in both orientations the paths need.
     qe = compress_even(q_values)                        # (Q, C) row-major
     qo = compress_even(q_values >> np.uint64(1))
@@ -297,7 +303,13 @@ def fused_count_matches(planes: TernaryPlanes, q_values: np.ndarray,
         used.add("dense")
     label = used.pop() if len(used) == 1 else "mixed"
     return FusedBatchCounts(seg_counts, step1, step2, full,
-                            match_q, match_rows, kernel=label)
+                            np.concatenate(match_q or [_NO_PAIRS]),
+                            np.concatenate(match_rows or [_NO_PAIRS]),
+                            kernel=label)
+
+
+#: The pair arrays of a batch without matches.
+_NO_PAIRS = np.zeros(0, dtype=np.int64)
 
 
 class _CountScratch(threading.local):
@@ -361,8 +373,8 @@ class _KernelState:
     step1: np.ndarray               # (B, Q) outputs
     step2: np.ndarray
     full: np.ndarray
-    match_q: List[int]
-    match_rows: List[int]
+    match_q: List[np.ndarray]       # pair pieces, one per block
+    match_rows: List[np.ndarray]
 
 
 class _DenseScratch:
@@ -416,8 +428,8 @@ def _finish_step2(state: _KernelState, start: int, stop: int,
     state.full[:, start:stop] = _pair_bincount(state, q_hit, col_hit, n_q)
     # Pairs stay grouped by query with global rows ascending —
     # bank-major priority-encoder order within each query.
-    state.match_q.extend((q_hit + start).tolist())
-    state.match_rows.extend(d.valid_rows[col_hit].tolist())
+    state.match_q.append(q_hit + start)
+    state.match_rows.append(d.valid_rows[col_hit])
 
 
 @hot_path
@@ -514,4 +526,4 @@ def batch_count_matches(cam: TernaryCAM, q_values: np.ndarray,
     return BankBatchCounts(int(fused.rows_searched[0]),
                            fused.step1_eliminated[0],
                            fused.step2_misses[0], fused.full_matches[0],
-                           fused.match_q, fused.match_rows)
+                           fused.match_q.tolist(), fused.match_rows.tolist())

@@ -14,12 +14,11 @@ write generation, so any write invalidates every cached result.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import (Any, Callable, Hashable, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Hashable, Optional, Tuple
 
 from ..errors import OperationError
 
-__all__ = ["QueryCache", "serve_cached_batch"]
+__all__ = ["QueryCache"]
 
 
 class QueryCache:
@@ -88,61 +87,3 @@ class QueryCache:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<QueryCache {len(self._data)}/{self.capacity}, "
                 f"hit_rate={self.hit_rate:.2f}>")
-
-
-def serve_cached_batch(cache: Optional[QueryCache],
-                       generation: Tuple[int, ...],
-                       items: Sequence[Any],
-                       key_fn: Callable[[Any], Hashable],
-                       compute: Callable[[List[Any]], List[Any]],
-                       snapshot: Callable[[Any], Any],
-                       from_cache: Callable[[Any], Any],
-                       count_served: Callable[[], None]) -> List[Any]:
-    """Serve a query batch through an optional cache, deduplicated.
-
-    The subtle hit/miss/duplicate accounting behind
-    :meth:`fecam.store.CamStore.search_batch`:
-
-    * without a cache, ``compute(items)`` runs verbatim (duplicates
-      recompute, exactly like a sequential loop would);
-    * with a cache, each distinct item is looked up once, misses are
-      computed in one ``compute(unique)`` call, and intra-batch
-      duplicates are served as hits (``note_hit``) from the result of
-      their first occurrence — the behavior a sequential loop over a
-      warm cache converges to.
-
-    ``compute`` owns the accounting of the queries it serves (searches
-    fired, energy, latency); ``count_served`` is invoked once per query
-    served *from the cache* instead.  ``snapshot`` isolates the stored
-    copy from caller mutation; ``from_cache`` builds the zero-cost
-    served result.
-    """
-    if cache is None:
-        return compute(list(items))
-    results: List[Any] = [None] * len(items)
-    pending: "OrderedDict[Any, List[int]]" = OrderedDict()
-    for i, item in enumerate(items):
-        if item in pending:
-            # A duplicate of an item already being computed this batch:
-            # a sequential loop would serve it from the cache after the
-            # first occurrence, so it is accounted as a hit below, not
-            # as another miss here.
-            pending[item].append(i)
-            continue
-        hit = cache.get(key_fn(item), generation)
-        if hit is not None:
-            count_served()
-            results[i] = from_cache(hit)
-        else:
-            pending.setdefault(item, []).append(i)
-    if pending:
-        computed = compute(list(pending))
-        for item, result in zip(pending, computed):
-            cache.put(key_fn(item), generation, snapshot(result))
-            indices = pending[item]
-            results[indices[0]] = result
-            for extra in indices[1:]:
-                cache.note_hit()
-                count_served()
-                results[extra] = from_cache(result)
-    return results

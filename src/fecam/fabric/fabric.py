@@ -12,12 +12,17 @@ concatenated match lines would output.
 
 Energy is the sum over banks (all banks fire on a broadcast search);
 latency is the worst bank (banks search in parallel, the encoder waits
-for the slowest).  Batched searches go through the vectorized kernel in
-:mod:`fecam.fabric.batch` and produce bit-identical numbers.
+for the slowest).  A batch search runs the fused kernel of
+:mod:`fecam.fabric.batch` once, prices its ``(B, Q)`` count matrices
+with :func:`~fecam.functional.engine.price_searches`, orders matches
+from per-arena-row priority columns, and returns views over one
+columnar :class:`~fecam.fabric.result.BatchMatches` — bit-identical to
+a loop of sequential searches.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 from dataclasses import dataclass, field
@@ -30,13 +35,16 @@ from ..analysis.markers import hot_path
 from ..designs import DesignKind
 from ..errors import OperationError, TernaryValueError
 from ..cam.states import normalize_query, normalize_word
-from ..functional.engine import EnergyModel, SearchStats, pack_words
+from ..functional.engine import (EnergyModel, SearchStats, pack_words,
+                                 price_searches)
 from ..obs.trace import active as trace_active
 from ..obs.trace import record_span
 from ..obs.trace import stage as trace_stage
 from ..planes import TernaryPlanes
 from .bank import CamBank
-from .batch import fused_count_matches, normalize_queries, pack_queries
+from .batch import (FusedBatchCounts, fused_count_matches,
+                    normalize_queries, pack_queries)
+from .result import BatchMatches, Match, QueryResult
 from .shard import HashSharding, ShardPolicy
 
 __all__ = ["TcamFabric", "Match", "FabricSearchResult", "FabricStats",
@@ -44,38 +52,15 @@ __all__ = ["TcamFabric", "Match", "FabricSearchResult", "FabricStats",
 
 
 @dataclass
-class Match:
-    """One stored entry and where the fabric placed it — the single
-    record the fabric stores and every search (fabric, store, served)
-    returns."""
-
-    key: Hashable
-    word: str
-    priority: float
-    bank: int
-    row: int
-    payload: Any = None
-    seq: int = 0  # insertion tiebreak for equal priorities
-
-    @property
-    def sort_key(self) -> Tuple[float, int]:
-        return (self.priority, self.seq)
-
-
-@dataclass
 class FabricSearchResult:
-    """Merged outcome of one fabric-wide search.
-
-    ``per_bank`` carries the individual :class:`SearchStats` for
-    sequential searches; batched searches keep only the (identical)
-    aggregates and leave it ``None`` — materializing Q x banks stats
-    objects would dominate the vectorized kernel.
-    """
+    """Merged outcome of one sequential :meth:`TcamFabric.search`, with
+    the per-bank :class:`SearchStats` it was merged from (the reference
+    a batch search is tested against)."""
 
     matches: List[Match]        # global priority order (best first)
     energy: float               # J, summed over all banks
     latency: float              # s, worst bank (banks run in parallel)
-    per_bank: Optional[List[SearchStats]] = None
+    per_bank: List[SearchStats]
 
     @property
     def best(self) -> Optional[Match]:
@@ -171,13 +156,24 @@ class TcamFabric:
                 f"sharding policy covers {self.sharding.num_banks} banks, "
                 f"fabric has {banks}")
         self._entries: Dict[Hashable, Match] = {}
-        self._row_entry: List[List[Optional[Match]]] = [
-            [None] * rows_per_bank for _ in range(banks)]
+        # Per-arena-row columns of the live entries (bank b's row r is
+        # arena row b * rows_per_bank + r), written by _index_rows and
+        # delete: a batch search resolves and priority-orders its
+        # matches from them in NumPy.  A row can be valid in the planes
+        # without an entry (a bank written directly); _row_live says.
+        capacity = banks * rows_per_bank
+        self._row_entry = np.full(capacity, None, dtype=object)
+        self._row_priority = np.zeros(capacity, dtype=np.float64)
+        self._row_seq = np.zeros(capacity, dtype=np.int64)
+        self._row_live = np.zeros(capacity, dtype=bool)
         self._seq = 0
         self._searches = 0
         self._worst_latency = 0.0
-        self._step1_eliminated = [0] * banks
-        self._rows_examined = [0] * banks
+        self._step1_eliminated = np.zeros(banks, dtype=np.int64)
+        self._rows_examined = np.zeros(banks, dtype=np.int64)
+        # Readers share the store's read lock, so batch searches can run
+        # concurrently; folding a batch into the counters is one step.
+        self._counters_lock = threading.Lock()
 
     @classmethod
     def striped(cls, words: Sequence[str], *, banks: int, width: int,
@@ -244,6 +240,35 @@ class TcamFabric:
 
     # -- write lifecycle ---------------------------------------------------------
 
+    def _index_rows(self, entries: Sequence[Match]) -> None:
+        """Record placed entries in the per-row columns."""
+        n = len(entries)
+        rows = np.fromiter((entry.bank * self.rows_per_bank + entry.row
+                            for entry in entries), dtype=np.intp, count=n)
+        self._row_entry[rows] = entries
+        self._row_priority[rows] = np.fromiter(
+            (entry.priority for entry in entries), dtype=np.float64, count=n)
+        self._row_seq[rows] = np.fromiter(
+            (entry.seq for entry in entries), dtype=np.int64, count=n)
+        self._row_live[rows] = True
+
+    def load_entries(self, entries: Sequence[Match]) -> None:
+        """Replace the entry table with entries the arena already holds,
+        leaving the banks' free pools alone — how a read-only cluster
+        replica takes each published placement table, and where
+        :meth:`adopt_entries` ends."""
+        table: Dict[Hashable, Match] = {}
+        for entry in entries:
+            if entry.key in table:
+                raise OperationError(
+                    f"duplicate key {entry.key!r} in adopted entries")
+            table[entry.key] = entry
+        self._entries = table
+        self._row_entry[:] = None
+        self._row_live[:] = False
+        self._index_rows(entries)
+        self._seq = 1 + max((entry.seq for entry in entries), default=-1)
+
     def _resolve_bank(self, key: Hashable, bank: Optional[int]) -> int:
         if bank is None:
             return self.sharding.bank_for(key)
@@ -279,7 +304,7 @@ class TcamFabric:
             bank=bank_id, row=row, payload=payload, seq=seq)
         self._seq = max(self._seq, seq + 1)
         self._entries[key] = entry
-        self._row_entry[bank_id][row] = entry
+        self._index_rows([entry])
         return entry
 
     def insert_many(self, words: Sequence[str],
@@ -318,7 +343,7 @@ class TcamFabric:
         by_bank: Dict[int, List[int]] = {}
         for i in range(n):
             seq = self._seq if seqs is None else seqs[i]
-            key = keys[i] if keys else None
+            key = keys[i] if keys is not None else None
             if key is None:
                 key = ("auto", seq)
             if key in self._entries or key in batch_keys:
@@ -348,7 +373,7 @@ class TcamFabric:
                 entries[i].row = row
         for entry in entries:
             self._entries[entry.key] = entry
-            self._row_entry[entry.bank][entry.row] = entry
+        self._index_rows(entries)
         return entries
 
     def adopt_entries(self, entries: Sequence[Match], *,
@@ -385,20 +410,16 @@ class TcamFabric:
         else:
             for bank in self.banks:
                 bank.sync_free_rows()
-        for entry in entries:
-            if entry.key in self._entries:
-                raise OperationError(
-                    f"duplicate key {entry.key!r} in adopted entries")
-            self._entries[entry.key] = entry
-            self._row_entry[entry.bank][entry.row] = entry
-        self._seq = 1 + max((entry.seq for entry in entries), default=-1)
+        self.load_entries(entries)
 
     def delete(self, key: Hashable) -> Match:
         """Remove an entry; its row returns to the bank's free pool."""
         entry = self.entry(key)
         self.banks[entry.bank].delete(entry.row)
         del self._entries[key]
-        self._row_entry[entry.bank][entry.row] = None
+        row = entry.bank * self.rows_per_bank + entry.row
+        self._row_entry[row] = None
+        self._row_live[row] = False
         return entry
 
     def update(self, key: Hashable, word: str, *,
@@ -424,9 +445,9 @@ class TcamFabric:
             latency = max(latency, stats.latency)
             self._step1_eliminated[bank_id] += stats.step1_eliminated
             self._rows_examined[bank_id] += stats.rows_searched
-            row_entry = self._row_entry[bank_id]
+            base = bank_id * self.rows_per_bank
             for row in stats.matches:
-                entry = row_entry[row]
+                entry = self._row_entry[base + row]
                 if entry is not None:
                     matched.append(entry)
         matched.sort(key=lambda e: e.sort_key)
@@ -464,34 +485,29 @@ class TcamFabric:
     @hot_path
     def search_batch(self, queries: Sequence[str],
                      mask: Optional[str] = None, *,
-                     use_cache: bool = True) -> List[FabricSearchResult]:
+                     use_cache: bool = True) -> List[QueryResult]:
         """Vectorized multi-query search over every bank.
 
-        Returns one result per query, in order, bit-identical (matches,
-        energy, latency, bank counters) to
+        Returns one :class:`QueryResult` per query, in order,
+        bit-identical (matches, energy, latency, bank counters) to
         ``[self.search(q, mask) for q in queries]``.
         """
         # use_cache is ignored (no cache here); frozen benchmarks/e2e passes it.
-        queries = normalize_queries(queries, self.width)
+        return self.search_normalized(
+            normalize_queries(queries, self.width), mask)
+
+    @hot_path
+    def search_normalized(self, queries: List[str],
+                          mask: Optional[str] = None) -> List[QueryResult]:
+        """:meth:`search_batch` for queries already through
+        :func:`~fecam.fabric.batch.normalize_queries`, so a caller that
+        validated them (the store) does not pay twice.  One fused kernel
+        pass, then :meth:`_account` and :meth:`_collect`; the results
+        are views over the columnar batch."""
         if not queries:
             return []
         mask_bits = (self.banks[0].cam.pack_mask(mask)
                      if mask is not None else None)
-        return self._search_batch_arrays(queries, mask_bits)
-
-    def _search_batch_arrays(self, queries: List[str],
-                             mask_bits) -> List[FabricSearchResult]:
-        """Fused batch core: one arena-wide kernel + vectorized merge.
-
-        A single :func:`fused_count_matches` pass over the contiguous
-        arena replaces the per-bank Python loop of count kernels; the
-        per-bank accounting below reproduces exactly the arithmetic of
-        ``_combine`` over a loop of per-bank scalar searches — per-query
-        energies are elementwise sums in bank order, latencies
-        elementwise maxima, and every cam counter accumulates per query
-        in sequence — without building a :class:`SearchStats` per
-        (query, bank) pair.
-        """
         n_q = len(queries)
         q_matrix = pack_queries(queries, self.width)
         # reuse_buffers: the count matrices are fully reduced to
@@ -506,62 +522,74 @@ class TcamFabric:
                                          reuse_buffers=True)
         targets = trace_active()
         merge_start = time.perf_counter() if targets else 0.0
-        energy = np.zeros(n_q, dtype=np.float64)
-        latency = np.zeros(n_q, dtype=np.float64)
-        for bank in self.banks:
-            cam = bank.cam
-            bank_id = bank.bank_id
-            rows_searched = int(counts.rows_searched[bank_id])
-            step1_eliminated = counts.step1_eliminated[bank_id]
-            e1, e2, lat1, lat2, two_step, early = cam._search_constants()
-            resolved = (counts.step2_misses[bank_id]
-                        + counts.full_matches[bank_id])
-            if two_step:
-                if early:
-                    bank_energy = step1_eliminated * e1 + resolved * e2
-                else:
-                    bank_energy = np.full(n_q, rows_searched * e2)
-                bank_latency = np.where(resolved > 0, lat2, lat1)
-            else:
-                bank_energy = np.full(n_q, rows_searched * e2)
-                bank_latency = np.full(n_q, lat2)
-            energy = energy + bank_energy          # bank order == loop order
-            np.maximum(latency, bank_latency, out=latency)
-            cam.search_count += n_q
-            for e in bank_energy.tolist():         # sequential like the loop
-                cam.energy_spent += e
-            self._step1_eliminated[bank_id] += int(step1_eliminated.sum())
-            self._rows_examined[bank_id] += rows_searched * n_q
-        # Matches come back grouped by query with global arena rows
-        # ascending — bank attribution is a divmod by the bank span.
-        matched: List[List[Match]] = [[] for _ in range(n_q)]
-        rows_per_bank = self.rows_per_bank
-        row_entry = self._row_entry
-        for qi, arena_row in zip(counts.match_q, counts.match_rows):
-            bank_id, row = divmod(arena_row, rows_per_bank)
-            entry = row_entry[bank_id][row]
-            if entry is not None:
-                matched[qi].append(entry)
-        energy_list = energy.tolist()
-        latency_list = latency.tolist()
-        results: List[FabricSearchResult] = []
-        for i in range(n_q):
-            entries = matched[i]
-            if len(entries) > 1:
-                entries.sort(key=lambda e: e.sort_key)
-            results.append(FabricSearchResult(
-                matches=entries, energy=energy_list[i],
-                latency=latency_list[i]))
-        self._searches += n_q
-        if latency_list:
-            self._worst_latency = max(self._worst_latency,
-                                      max(latency_list))
+        energy, latency = self._account(counts, n_q)
+        results = self._collect(queries, mask, counts, n_q).results(
+            energy, latency)
         if targets:
-            # Everything after the fused kernel: per-bank accounting,
-            # match attribution, and priority-encoder ordering.
+            # Everything after the fused kernel: pricing, bank counters,
+            # priority-encoder ordering and the result views.
             record_span(targets, "fabric.merge", merge_start,
                         time.perf_counter(), queries=n_q)
         return results
+
+    @hot_path
+    def _account(self, counts: FusedBatchCounts, n_q: int
+                 ) -> Tuple[List[float], List[float]]:
+        """Price a batch, fold it into every counter, and return the
+        per-query energies and latencies.
+
+        Bit-identical to ``_combine`` over a loop of per-bank searches:
+        one :func:`price_searches` call over the ``(B, Q)`` counts; the
+        axis-0 reduction adds bank rows in bank order, as the loop does;
+        a sequential ``cumsum`` advances each ``energy_spent`` as the
+        loop's ``+=`` does.
+        """
+        cams = [bank.cam for bank in self.banks]
+        constants = np.array(
+            [cam._search_constants() for cam in cams]).T[:, :, None]
+        e1, e2, lat1, lat2 = constants[:4]
+        two_step, early = constants[4:] > 0
+        bank_energy, bank_latency = price_searches(
+            counts.step1_eliminated,
+            counts.step2_misses + counts.full_matches,
+            counts.rows_searched[:, None], e1, e2, lat1, lat2, two_step,
+            early)
+        latency = bank_latency.max(axis=0)
+        with self._counters_lock:
+            spent = np.cumsum(
+                np.column_stack(([cam.energy_spent for cam in cams],
+                                 bank_energy)), axis=1)[:, -1]
+            for cam, total in zip(cams, spent.tolist()):
+                cam.energy_spent = total
+                cam.search_count += n_q
+            self._step1_eliminated += counts.step1_eliminated.sum(axis=1)
+            self._rows_examined += counts.rows_searched * n_q
+            self._searches += n_q
+            self._worst_latency = max(self._worst_latency,
+                                      float(latency.max()))
+        return (np.add.reduce(bank_energy, axis=0).tolist(),
+                latency.tolist())
+
+    @hot_path
+    def _collect(self, queries: List[str], mask: Optional[str],
+                 counts: FusedBatchCounts, n_q: int) -> BatchMatches:
+        """Resolve matched arena rows to entries in priority order.
+
+        The kernel's pairs come grouped by query, rows ascending; one
+        stable ``lexsort`` on (query, priority, seq) is each query's
+        priority-encoder order (ties kept in row order, as the loop's
+        stable sort keeps them), and a ``bincount`` slices the flat list.
+        """
+        match_q, rows = counts.match_q, counts.match_rows
+        live = self._row_live[rows]
+        if not live.all():
+            match_q, rows = match_q[live], rows[live]
+        rows = rows[np.lexsort((self._row_seq[rows],
+                                self._row_priority[rows], match_q))]
+        offsets = np.zeros(n_q + 1, dtype=np.intp)
+        np.cumsum(np.bincount(match_q, minlength=n_q), out=offsets[1:])
+        return BatchMatches(queries, mask, self._row_entry[rows].tolist(),
+                            offsets.tolist())
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -572,9 +600,11 @@ class TcamFabric:
                 bank_id=bank.bank_id, occupancy=bank.occupancy,
                 searches=bank.cam.search_count,
                 energy=bank.cam.energy_spent,
-                rows_examined=self._rows_examined[bank.bank_id],
-                step1_eliminated=self._step1_eliminated[bank.bank_id])
-            for bank in self.banks]
+                rows_examined=rows_examined,
+                step1_eliminated=step1_eliminated)
+            for bank, rows_examined, step1_eliminated in zip(
+                self.banks, self._rows_examined.tolist(),
+                self._step1_eliminated.tolist())]
         return FabricStats(
             num_banks=self.num_banks, rows_per_bank=self.rows_per_bank,
             width=self.width, occupancy=self.occupancy,

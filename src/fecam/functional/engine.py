@@ -27,14 +27,14 @@ from ..metrics.point import FIDELITIES
 from ..planes import CHUNK_BITS, TernaryPlanes, n_chunks_for, step_masks
 
 __all__ = ["TernaryCAM", "SearchStats", "EnergyModel", "pack_word",
-           "pack_words", "CHUNK_BITS", "n_chunks_for"]
+           "pack_words", "price_searches", "CHUNK_BITS", "n_chunks_for"]
 
 _CHUNK = CHUNK_BITS
 
 _ORD_0, _ORD_1, _ORD_X = ord("0"), ord("1"), ord("X")
 
 
-def _pack_bitplane(bits: np.ndarray, width: int) -> np.ndarray:
+def pack_bitplane(bits: np.ndarray, width: int) -> np.ndarray:
     """Pack an (N, width) boolean plane into (N, n_chunks) uint64.
 
     Bit ``pos`` of a word lands in chunk ``pos // 64`` at bit position
@@ -90,7 +90,7 @@ def pack_words(words: Sequence[str], width: int) -> Tuple[np.ndarray, np.ndarray
             f"invalid ternary symbol {chr(sym[bad_i, bad_pos])!r} at "
             f"position {bad_pos} of word {bad_i}; words must be "
             "canonical '01X' strings")
-    return _pack_bitplane(is_one, width), _pack_bitplane(~is_x, width)
+    return pack_bitplane(is_one, width), pack_bitplane(~is_x, width)
 
 
 def pack_word(word: str, width: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -172,6 +172,25 @@ class EnergyModel:
             latency_1step=fom.latency_1step,
             latency_2step=fom.latency_total,
             write_energy_per_cell=fom.write_energy_per_cell or 0.0)
+
+
+def price_searches(step1_eliminated, resolved, rows_searched, e1, e2,
+                   lat1, lat2, two_step, early
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Energy and latency of searches from their step counts — the one
+    pricing formula: a scalar search passes plain counts and the
+    :meth:`TernaryCAM._search_constants`; the fabric's batch passes
+    ``(B, Q)`` count matrices and ``(B, 1)`` per-bank constant columns.
+
+    ``resolved`` counts rows that reached step 2 (step-2 misses plus
+    full matches).  With early termination a step-1 elimination costs
+    ``e1`` and a resolved row ``e2``; without it every row costs ``e2``.
+    A two-step search that resolves nothing stops after step 1.
+    """
+    energy = np.where(early, step1_eliminated * e1 + resolved * e2,
+                      rows_searched * e2)
+    latency = np.where(np.logical_and(two_step, resolved == 0), lat1, lat2)
+    return energy, latency
 
 
 class TernaryCAM:
@@ -382,10 +401,9 @@ class TernaryCAM:
         Model and policy fields are read live — swapping a new frozen
         :class:`EnergyModel` onto :attr:`energy_model` mid-run for
         what-if studies takes effect on the next search.  Only the
-        design's two-step flag is cached (at construction):
-        ``_finish_search`` runs for every (query, bank) pair of a batch,
-        and the enum-property chain would dominate the vectorized
-        kernel.
+        design's two-step flag is cached (at construction): the fabric
+        reads these for every bank of every batch, and the
+        enum-property chain would dominate a small batch.
         """
         model = self._resolved_energy()
         two_step = self._two_step_search
@@ -396,22 +414,13 @@ class TernaryCAM:
 
     def _finish_search(self, match_rows: List[int], rows_searched: int,
                        step1_elim: int, step2_miss: int) -> SearchStats:
-        """Shared energy/latency accounting for every search path.
-
-        Scalar, packed, and batched searches all funnel through here with
-        plain-int counts, so their energy numbers are bit-identical.
-        """
+        """Energy/latency accounting of one scalar or packed search,
+        priced by :func:`price_searches` like every batched one."""
         full_match = len(match_rows)
-        e1, e2, lat1, lat2, two_step, early = self._search_constants()
-        if two_step:
-            if early:
-                energy = step1_elim * e1 + (step2_miss + full_match) * e2
-            else:
-                energy = rows_searched * e2
-            latency = lat2 if (step2_miss + full_match) > 0 else lat1
-        else:
-            energy = rows_searched * e2
-            latency = lat2
+        energy_arr, latency_arr = price_searches(
+            step1_elim, step2_miss + full_match, rows_searched,
+            *self._search_constants())
+        energy, latency = float(energy_arr), float(latency_arr)
         self.search_count += 1
         self.energy_spent += energy
         return SearchStats(matches=match_rows, rows_searched=rows_searched,

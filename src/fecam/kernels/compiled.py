@@ -36,7 +36,7 @@ calls them once per Newton iteration / accepted timestep.
 from __future__ import annotations
 
 import ctypes
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -164,8 +164,9 @@ class CompiledKernel:
     def fused(self, derived, index, bank_of: Optional[np.ndarray],
               seg_counts: np.ndarray, qe: np.ndarray, qo: np.ndarray,
               step1: np.ndarray, step2: np.ndarray, full: np.ndarray
-              ) -> Tuple[List[int], List[int]]:
-        """Count + collect in one call; returns (match_q, match_rows).
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Count + collect in one call; returns the int64 (match_q,
+        match_rows) pair arrays.
 
         Fills the (B, Q) count matrices in place and emits the matching
         (query, arena row) pairs in the NumPy kernel's order.  Uses the
@@ -204,7 +205,8 @@ class CompiledKernel:
         np.cumsum(offsets[1:], out=offsets[1:])
         total = int(offsets[n_q])
         if total == 0:
-            return [], []
+            return (np.zeros(0, dtype=np.int64),
+                    np.zeros(0, dtype=np.int64))
         match_q = np.empty(total, dtype=np.int64)
         match_rows = np.empty(total, dtype=np.int64)
         if index is not None:
@@ -218,4 +220,4 @@ class CompiledKernel:
                        n_rows, n_q, n_chunks,
                        offsets.ctypes.data, match_q.ctypes.data,
                        match_rows.ctypes.data)
-        return match_q.tolist(), match_rows.tolist()
+        return match_q, match_rows

@@ -20,7 +20,7 @@ from ..fabric.shard import HashSharding
 from ..planes import TernaryPlanes
 from .backend import SearchBackend
 from .config import StoreConfig
-from .result import Query, QueryResult
+from .result import QueryResult
 
 __all__ = ["FabricBackend"]
 
@@ -143,12 +143,7 @@ class FabricBackend(SearchBackend):
 
     def search_batch(self, queries: Sequence[str],
                      mask: Optional[str] = None) -> List[QueryResult]:
-        queries = list(queries)
-        raw = self.fabric.search_batch(queries, mask)
-        return [QueryResult(query=Query(bits=bits, mask=mask),
-                            matches=r.matches, energy=r.energy,
-                            latency=r.latency)
-                for bits, r in zip(queries, raw)]
+        return self.fabric.search_normalized(list(queries), mask)
 
     def __repr__(self) -> str:
         return (f"<FabricBackend {self.config.banks}x"

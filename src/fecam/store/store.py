@@ -26,16 +26,19 @@ from __future__ import annotations
 import threading
 import time
 
+from operator import attrgetter
+
 import numpy as np
 
 from dataclasses import replace
-from typing import Any, Hashable, List, Optional, Sequence, Union
+from typing import (Any, Dict, Hashable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..analysis.markers import hot_path, lock_free, requires_lock
 from ..cam.states import normalize_word
 from ..errors import OperationError, TernaryValueError
 from ..fabric.batch import normalize_queries
-from ..fabric.cache import QueryCache, serve_cached_batch
+from ..fabric.cache import QueryCache
 from ..obs.trace import active as trace_active
 from ..obs.trace import record_span
 from ..obs.trace import stage as trace_stage
@@ -272,7 +275,7 @@ class CamStore:
         # batch, so any disagreement — including a masked Query next to
         # an unmasked one — must be an error, never a silent leak of
         # one query's mask onto its neighbours.
-        if all(type(query) is str for query in queries):
+        if set(map(type, queries)) <= {str}:
             # Plain-string batches (the serving hot path) carry no
             # per-query mask, so the conflict accounting below is moot.
             return normalize_queries(queries, self.width), mask
@@ -299,14 +302,15 @@ class CamStore:
     @staticmethod
     def _snapshot(result: QueryResult) -> QueryResult:
         # Copy stored/served matches lists so a caller mutating a result
-        # cannot corrupt the cached original.
-        return replace(result, matches=list(result.matches))
+        # cannot corrupt the cached original.  Built, not replace()d:
+        # the backend's results are batch views, not plain results.
+        return QueryResult(result.query, list(result.matches),
+                           result.energy, result.latency, result.cached)
 
     @staticmethod
     def _from_cache(hit: QueryResult) -> QueryResult:
         # A hit fires no array: report the cost actually paid (none).
-        return replace(hit, matches=list(hit.matches), energy=0.0,
-                       latency=0.0, cached=True)
+        return QueryResult(hit.query, list(hit.matches), 0.0, 0.0, True)
 
     @requires_lock("read")
     def search(self, query: Union[Query, str],
@@ -330,52 +334,81 @@ class CamStore:
         """Vectorized multi-query search; one result per query, in order.
 
         Without a cache this is bit-identical (matches, energy, latency)
-        to a loop of :meth:`search` calls; with a cache, duplicate
-        queries inside the batch are computed once and the copies served
-        as hits.
+        to a loop of :meth:`search` calls, and the backend's results
+        come back as they are; with a cache, duplicate queries inside
+        the batch are computed once and the copies served as hits.
         """
         bits_list, mask = self._coerce_batch(queries, mask)
         if not bits_list:
             return []
-        computed_n = 0
-
-        def compute(unique: List[str]) -> List[QueryResult]:
-            nonlocal computed_n
-            computed_n = len(unique)
-            with trace_stage("backend.search_batch", queries=len(unique)):
-                computed = self.backend.search_batch(unique, mask)
-            worst = max(result.latency for result in computed)
-            with self._stats_lock:
-                self._searches += len(unique)
-                self._array_searches += len(unique)
-                self._worst_latency = max(self._worst_latency, worst)
-            return computed
-
-        def count_served() -> None:
-            with self._stats_lock:
-                self._searches += 1
-
         targets = trace_active()
-        if not targets:
-            return serve_cached_batch(
-                self._cache if use_cache else None, (self._generation,),
-                bits_list, key_fn=lambda bits: (bits, mask),
-                compute=compute, snapshot=self._snapshot,
-                from_cache=self._from_cache, count_served=count_served)
-        # Traced path: time the whole store stage (cache lookups
-        # included) and annotate how much of the batch actually fired
-        # the arrays vs. rode the query cache.
-        start = time.perf_counter()
-        results = serve_cached_batch(
-            self._cache if use_cache else None, (self._generation,),
-            bits_list, key_fn=lambda bits: (bits, mask),
-            compute=compute, snapshot=self._snapshot,
-            from_cache=self._from_cache, count_served=count_served)
-        record_span(targets, "store.search_batch", start,
-                    time.perf_counter(), queries=len(bits_list),
-                    computed=computed_n,
-                    cache_served=len(bits_list) - computed_n)
+        start = time.perf_counter() if targets else 0.0
+        if self._cache is None or not use_cache:
+            results = self._compute(bits_list, mask)
+            computed = len(bits_list)
+        else:
+            results, computed = self._serve_cached(self._cache, bits_list,
+                                                   mask)
+        if targets:
+            # Time the whole store stage (cache lookups included) and
+            # annotate how much of the batch actually fired the arrays
+            # vs. rode the query cache.
+            record_span(targets, "store.search_batch", start,
+                        time.perf_counter(), queries=len(bits_list),
+                        computed=computed,
+                        cache_served=len(bits_list) - computed)
         return results
+
+    def _compute(self, bits: List[str],
+                 mask: Optional[str]) -> List[QueryResult]:
+        """Fire the arrays for ``bits`` and count what that cost."""
+        with trace_stage("backend.search_batch", queries=len(bits)):
+            results = self.backend.search_batch(bits, mask)
+        worst = max(map(attrgetter("latency"), results))
+        with self._stats_lock:
+            self._searches += len(bits)
+            self._array_searches += len(bits)
+            self._worst_latency = max(self._worst_latency, worst)
+        return results
+
+    def _serve_cached(self, cache: QueryCache, bits_list: List[str],
+                      mask: Optional[str]
+                      ) -> Tuple[List[QueryResult], int]:
+        """Serve a batch through the query cache, deduplicated.
+
+        Each distinct query is looked up once and the misses are
+        computed in one backend call.  A duplicate inside the batch is a
+        hit on its first occurrence — what a sequential loop over a
+        warm cache converges to.  Returns the results and how many
+        queries fired the arrays.
+        """
+        generation = (self._generation,)
+        results: List[Any] = [None] * len(bits_list)
+        pending: Dict[str, List[int]] = {}
+        hits = 0
+        for i, bits in enumerate(bits_list):
+            if bits in pending:
+                pending[bits].append(i)
+                continue
+            hit = cache.get((bits, mask), generation)
+            if hit is None:
+                pending[bits] = [i]
+            else:
+                results[i] = self._from_cache(hit)
+                hits += 1
+        with self._stats_lock:
+            self._searches += hits
+        if pending:
+            computed = self._compute(list(pending), mask)
+            for (bits, indices), result in zip(pending.items(), computed):
+                cache.put((bits, mask), generation, self._snapshot(result))
+                results[indices[0]] = result
+                for extra in indices[1:]:
+                    cache.note_hit()
+                    results[extra] = self._from_cache(result)
+            with self._stats_lock:
+                self._searches += len(bits_list) - len(pending) - hits
+        return results, len(pending)
 
     # -- telemetry ---------------------------------------------------------------
 

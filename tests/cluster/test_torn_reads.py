@@ -146,3 +146,26 @@ class TestDeadWriter:
         assert backend.arena.seq % 2 == 0  # published, then died
         generation, keys = serve(replica)
         assert generation == 2 and keys == ["a", "b"]
+
+
+class TestResultsAcrossAPublish:
+    def test_earlier_results_keep_their_entries(self):
+        """A replica re-reads the placement table on every publish; a
+        result computed before the publish still names the entry that
+        sat in the row when it searched, not the one reusing it now."""
+        backend = ClusterBackend(make_config(banks=1), workers=1)
+        arena = SharedArena.attach(backend.arena.directory)
+        try:
+            replica = Replica(arena, backend.config, read_timeout=5.0)
+            old = backend.insert("1010XXXXXXXX", "a", 0.0, None, 0)
+            assert serve(replica) == (1, ["a"])
+            earlier = replica.fabric.search_batch([PROBE])
+            backend.delete("a")
+            new = backend.insert("10101111XXXX", "b", 1.0, None, 1)
+            assert (new.bank, new.row) == (old.bank, old.row)
+            assert serve(replica) == (3, ["b"])
+            assert earlier[0].match_keys == ["a"]
+            assert earlier[0].matches[0].key == "a"
+        finally:
+            arena.close()
+            backend.close()

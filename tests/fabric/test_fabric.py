@@ -1,5 +1,9 @@
 """Tests for the multi-bank fabric: lifecycle, priority merge, stats."""
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from fecam.designs import DesignKind
@@ -69,6 +73,15 @@ class TestLifecycle:
                 (el.bank, el.row, el.priority)
         assert bulk.search("10101111").match_keys == \
             loop.search("10101111").match_keys
+
+    def test_insert_many_takes_numpy_keys(self):
+        # Explicit banks, as the store's striped placement passes them
+        # (hash sharding wants plain Python keys).
+        fabric = make()
+        entries = fabric.insert_many(["1010XXXX", "0101XXXX"],
+                                     keys=np.array([11, 12]), banks=[0, 1])
+        assert [entry.key for entry in entries] == [11, 12]
+        assert fabric.search_batch(["10101111"])[0].match_keys == [11]
 
     def test_caller_sequence_numbers_are_the_records(self):
         fabric = make(banks=2)
@@ -174,3 +187,44 @@ class TestStats:
         assert telemetry.rows_examined == 1
         assert telemetry.step1_eliminated == 1
         assert telemetry.step1_miss_rate == 1.0
+
+
+def test_concurrent_batches_lose_no_counts():
+    """Batch searches run concurrently under a shared read lock; each
+    folds its counts into the bank counters, and none may be lost."""
+    fabric = make(banks=4, rows=16)
+    fabric.insert_many(["1010XXXX", "0101XXXX", "XXXXXXXX", "1111000X"],
+                       keys=list("abcd"))
+    queries = ["10101111", "01010000", "11110001", "00000000"] * 8
+    threads, rounds = 6, 40
+    barrier = threading.Barrier(threads)
+
+    def caller():
+        barrier.wait()
+        for _ in range(rounds):
+            fabric.search_batch(queries)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=caller) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    total = threads * rounds * len(queries)
+    stats = fabric.stats
+    assert stats.searches == total
+    assert [bank.searches for bank in stats.per_bank] == [total] * 4
+    # One batch's energy, repeated: the folds may interleave in any
+    # order, so compare to rounding, not bit for bit.
+    once = make(banks=4, rows=16)
+    once.insert_many(["1010XXXX", "0101XXXX", "XXXXXXXX", "1111000X"],
+                     keys=list("abcd"))
+    per_batch = sum(r.energy for r in once.search_batch(queries))
+    expected = per_batch * threads * rounds + sum(
+        bank.cam.energy_spent for bank in once.banks) - per_batch
+    assert stats.energy_total == pytest.approx(expected, rel=1e-9)

@@ -40,8 +40,8 @@ def assert_counts_equal(lhs, rhs):
     assert (lhs.step1_eliminated == rhs.step1_eliminated).all()
     assert (lhs.step2_misses == rhs.step2_misses).all()
     assert (lhs.full_matches == rhs.full_matches).all()
-    assert lhs.match_q == rhs.match_q
-    assert lhs.match_rows == rhs.match_rows
+    assert np.array_equal(lhs.match_q, rhs.match_q)
+    assert np.array_equal(lhs.match_rows, rhs.match_rows)
 
 
 @settings(max_examples=30, deadline=None)

@@ -81,6 +81,25 @@ class TestQueryModel:
         assert inserted is store.backend.fabric.entry("a")
         assert store.search("10101111").matches[0] is inserted
 
+    def test_batch_results_name_what_matched_at_search_time(self):
+        """A delete plus an insert that reuses the freed row, both after
+        the search, must not change what the earlier results name —
+        even though nothing read them before the writes."""
+        store = CamStore(StoreConfig(width=8, rows=4,
+                                     energy_model=fast_model(8)))
+        store.insert("1010XXXX", key="old")
+        results = store.search_batch(["10101111", "00000000"],
+                                     use_cache=False)
+        freed = store.get("old").row
+        store.delete("old")
+        assert store.insert("10XXXXXX", key="new").row == freed
+        assert store.search("10101111", use_cache=False).match_keys \
+            == ["new"]
+        assert results[0].match_keys == ["old"]
+        assert results[0].matches[0].key == "old"
+        assert results[0].query == Query("10101111")
+        assert results[1].match_keys == []
+
 
 class TestBackendInjection:
     def test_backend_plus_config_rejected(self):
