@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Design-space exploration of the 1.5T1Fe divider (paper Sec. V-C).
 
-Four studies a cell designer would run with this library:
+Three studies a cell designer would run with this library:
 
 1. sweep TN/TP sizing and the MVT target, ranking candidates by their
    worst-case SL_bar margin (paper Eq. 1 co-optimization);
-2. Monte-Carlo the chosen point under device variability (the concern
-   behind the DG-FeFET multi-level-cell literature the paper cites);
-3. sweep the architecture grid (design x word length) on the metrics
+2. sweep the architecture grid (design x word length) on the metrics
    API's analytical tier — the whole Fig. 7-style grid in microseconds,
    no transient simulation;
-4. compare the banked-macro cost of deploying each design at a router
+3. compare the banked-macro cost of deploying each design at a router
    scale (4K entries x 64 bits).
 
 Run:  python examples/design_space_exploration.py
@@ -19,7 +17,6 @@ Run:  python examples/design_space_exploration.py
 from fecam import DesignKind
 from fecam.arch import TcamMacro
 from fecam.cam import divider_margins, explore_sizing
-from fecam.devices import VariationParams, divider_yield
 from fecam.metrics import sweep
 
 print("=" * 72)
@@ -44,20 +41,7 @@ for design in (DesignKind.DG_1T5, DesignKind.SG_1T5):
 
 print()
 print("=" * 72)
-print("2. Monte-Carlo yield under device variability (120 samples)")
-print("=" * 72)
-for n_domains in (20, 80, 320):
-    r = divider_yield(DesignKind.DG_1T5, samples=120,
-                      params=VariationParams(n_domains=n_domains))
-    print(f"  FE domains/device = {n_domains:>4}: functional yield "
-          f"{100 * r.yield_fraction:5.1f} %, "
-          f"5th-pct worst margin {r.margin_percentile(0.05):+.3f} V")
-print("  -> the intermediate MVT ('X') state dominates the spread; "
-      "finer-grained films recover yield")
-
-print()
-print("=" * 72)
-print("3. Architecture grid on the analytical metrics tier (no SPICE)")
+print("2. Architecture grid on the analytical metrics tier (no SPICE)")
 print("=" * 72)
 table = sweep(designs=DesignKind.fefet_designs(),
               word_lengths=(16, 32, 64, 128), fidelity="analytical")
@@ -72,7 +56,7 @@ for i in range(len(table["design"])):
 
 print()
 print("=" * 72)
-print("4. Router-scale macro (4096 entries x 64 bits)")
+print("3. Router-scale macro (4096 entries x 64 bits)")
 print("=" * 72)
 header = f"{'design':>12} {'banks':>5} {'area mm^2':>10} {'pJ/search':>10} {'ns':>6}"
 print(header)

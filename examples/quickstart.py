@@ -9,9 +9,9 @@ Run:  python examples/quickstart.py
 """
 
 from fecam import DesignKind
-from fecam.arch import evaluate_array
 from fecam.cam import simulate_word_search
 from fecam.functional import TernaryCAM
+from fecam.metrics import DesignPoint, evaluate
 from fecam.units import FJ, PS
 
 print("=" * 70)
@@ -46,6 +46,7 @@ print()
 print("=" * 70)
 print("3. Architecture tier: paper Tab. IV row for the proposed design")
 print("=" * 70)
-fom = evaluate_array(DesignKind.DG_1T5, rows=64, word_length=64)
+fom = evaluate(DesignPoint(DesignKind.DG_1T5, word_length=64, rows=64),
+               "spice")
 for key, value in fom.as_row().items():
     print(f"  {key:>18s}: {value}")

@@ -6,8 +6,7 @@ from .bank import TcamMacro
 from .drivers import (DriverBank, HvDriverParams, SharedDriverMat,
                       driver_params_for)
 from .encoder import EncoderCost, PriorityEncoder
-from .evacam import (PAPER_TABLE4, STEP1_MISS_RATE_DEFAULT, ArrayFoM,
-                     clear_cache, evaluate_array)
+from .evacam import PAPER_TABLE4
 from .geometry import FEATURE_AREAS, CellGeometry, cell_geometry
 from .wire import (WIRE_14NM, WireLoad, WireParams, column_wire, ml_wire,
                    row_wire)
@@ -18,7 +17,6 @@ __all__ = [
     "row_wire",
     "HvDriverParams", "DriverBank", "SharedDriverMat", "driver_params_for",
     "PriorityEncoder", "EncoderCost",
-    "ArrayFoM", "evaluate_array", "PAPER_TABLE4", "clear_cache",
-    "STEP1_MISS_RATE_DEFAULT",
+    "PAPER_TABLE4",
     "AnalyticalEstimate", "estimate_search", "TcamMacro",
 ]

@@ -16,10 +16,10 @@ from typing import Dict, Optional
 
 from ..designs import DesignKind
 from ..errors import OperationError
+from ..metrics.fom import Fom
 from ..units import UM
 from .drivers import SharedDriverMat
 from .encoder import PriorityEncoder
-from .evacam import ArrayFoM, evaluate_array
 from .geometry import cell_geometry
 
 __all__ = ["TcamMacro"]
@@ -59,9 +59,11 @@ class TcamMacro:
 
     # -- aggregated figures of merit ----------------------------------------------
 
-    def _fom(self) -> ArrayFoM:
-        return evaluate_array(self.design, rows=self.rows,
-                              word_length=self.word)
+    def _fom(self) -> Fom:
+        from ..metrics import DesignPoint, evaluate
+
+        return evaluate(DesignPoint(self.design, word_length=self.word,
+                                    rows=self.rows), "spice")
 
     def area(self) -> float:
         """Total macro area (m^2): cells + drivers + encoders."""

@@ -1,16 +1,9 @@
-"""Array-level figure-of-merit evaluation (the Eva-CAM role, paper [15]).
+"""The paper's published Table IV rows (the Eva-CAM role, paper [15]).
 
-``evaluate_array`` is the legacy front door to the numbers the paper
-reports in Tab. IV and sweeps in Fig. 7: cell area, write energy,
-1-/2-step search latency and energy, and the 90 %-step-1-miss average.
-Since the :mod:`fecam.metrics` redesign it is a thin wrapper over
-``metrics.evaluate(point, fidelity="spice")`` — same arithmetic (the
-word-level SPICE tier via :func:`fecam.cam.word.simulate_word_search`,
-area/drivers/encoder from the analytical tier), now memoized in the
-shared metrics registry instead of a module-private cache.
-:class:`ArrayFoM` is an alias of the canonical
-:class:`~fecam.metrics.Fom`, so legacy and metrics callers exchange the
-very same objects.
+The repo's own Tab. IV / Fig. 7 numbers come from
+``fecam.metrics.evaluate(DesignPoint(...), fidelity)``; :data:`PAPER_TABLE4`
+is the reference they are reported against and the source of the
+``fidelity="paper"`` tier.
 
 The 16T CMOS baseline reports the published silicon figures of [25]
 exactly as the paper does (write voltage 0.9 V, 0.286 um^2, 235 ps,
@@ -20,12 +13,8 @@ exactly as the paper does (write voltage 0.9 V, 0.286 um^2, 235 ps,
 from __future__ import annotations
 
 from ..designs import DesignKind
-from ..metrics.fom import Fom as ArrayFoM
-from ..metrics.point import STEP1_MISS_RATE_DEFAULT
-from ..metrics.registry import clear_registry as clear_cache
 
-__all__ = ["ArrayFoM", "evaluate_array", "PAPER_TABLE4", "clear_cache",
-           "STEP1_MISS_RATE_DEFAULT"]
+__all__ = ["PAPER_TABLE4"]
 
 #: Paper Table IV reference values, for side-by-side reporting (and the
 #: source of the metrics API's ``fidelity="paper"`` tier).
@@ -59,22 +48,3 @@ PAPER_TABLE4 = {
                             energy_1step_fj=0.13, energy_total_fj=0.21,
                             energy_avg_fj=0.14),
 }
-
-
-def evaluate_array(design: DesignKind, *, rows: int = 64,
-                   word_length: int = 64,
-                   step1_miss_rate: float = STEP1_MISS_RATE_DEFAULT,
-                   timings=None) -> ArrayFoM:
-    """Produce the Tab. IV row for a design at an array size.
-
-    ``step1_miss_rate`` weights the early-termination average exactly as
-    the paper does: ``E_avg = p * E_1step + (1-p) * E_2step``.
-
-    Equivalent to ``metrics.evaluate(DesignPoint(...), "spice")`` — the
-    SPICE tier is the ground truth this function has always computed.
-    """
-    from ..metrics import DesignPoint, evaluate
-
-    point = DesignPoint(design=design, word_length=word_length, rows=rows,
-                        step1_miss_rate=step1_miss_rate, timings=timings)
-    return evaluate(point, fidelity="spice")

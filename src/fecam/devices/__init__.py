@@ -1,7 +1,7 @@
 """Compact device models: EKV MOSFET, ferroelectric layer, SG/DG FeFET.
 
-See DESIGN.md S2-S4.  The calibration module holds the 14 nm-like
-technology constants and all paper operating voltages (Tables I-III).
+The calibration module holds the 14 nm-like technology constants and all
+paper operating voltages (Tables I-III).
 """
 
 from .calibration import (VDD, CellSizing, OperatingVoltages, cell_sizing,
@@ -9,9 +9,6 @@ from .calibration import (VDD, CellSizing, OperatingVoltages, cell_sizing,
                           nmos, nmos_params, operating_voltages, pmos,
                           pmos_params, sg_fefet_params)
 from .ferroelectric import FerroelectricLayer, FerroParams
-from .reliability import EnduranceModel, RetentionModel, reliability_report
-from .variability import (MonteCarloResult, VariationParams, divider_yield,
-                          sample_vth_shifts)
 from .fefet import FeFet, FeFetParams, s_to_state, state_to_s
 from .mosfet import Mosfet, MosfetParams, ekv_f, ekv_f_prime, softplus
 
@@ -22,7 +19,4 @@ __all__ = [
     "VDD", "nmos", "pmos", "nmos_params", "pmos_params",
     "sg_fefet_params", "dg_fefet_params", "fefet_params_for", "make_fefet",
     "OperatingVoltages", "operating_voltages", "CellSizing", "cell_sizing",
-    "VariationParams", "MonteCarloResult", "divider_yield",
-    "sample_vth_shifts",
-    "EnduranceModel", "RetentionModel", "reliability_report",
 ]

@@ -3,7 +3,7 @@
 The paper's evaluation uses a 14 nm BSIM-IMG model calibrated to FDSOI
 silicon [26].  BSIM-IMG is not reproducible here, so we use the EKV charge
 interpolation model, which shares the properties the TCAM analysis depends
-on (see DESIGN.md S2):
+on:
 
 * a single expression covering weak, moderate, and strong inversion with
   continuous derivatives (Newton-friendly);

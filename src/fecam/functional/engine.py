@@ -233,14 +233,6 @@ class TernaryCAM:
         self.energy_spent = 0.0
         self._two_step_search = design.uses_two_step_search
 
-    @staticmethod
-    def _step_masks(width: int, n_chunks: int):
-        even, odd = step_masks(width)
-        if even.shape != (n_chunks,):  # pragma: no cover - caller bug
-            raise OperationError(
-                f"width {width} needs {even.shape[0]} chunks, not {n_chunks}")
-        return even, odd
-
     @property
     def planes(self) -> TernaryPlanes:
         """The bitplane storage (shared with the fabric arena when this

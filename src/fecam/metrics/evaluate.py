@@ -79,9 +79,9 @@ def _macro_costs(point: DesignPoint,
                  cell_area: float) -> Tuple[float, int, float]:
     """(macro_area, driver_count, encoder_delay) for the whole point.
 
-    Matches the legacy ``evaluate_array`` arithmetic exactly at
-    ``banks=1``; extra banks replicate the per-bank macro and add one
-    global priority encoder over the bank outputs.
+    At ``banks=1`` this is one subarray's drivers and priority encoder;
+    extra banks replicate the per-bank macro and add one global priority
+    encoder over the bank outputs.
     """
     from ..arch.drivers import SharedDriverMat
     from ..arch.encoder import PriorityEncoder
@@ -205,9 +205,9 @@ def _evaluate_analytical(point: DesignPoint) -> Fom:
 def _evaluate_spice(point: DesignPoint) -> Fom:
     """Ground-truth tier: word-level MNA transient simulation.
 
-    This is, arithmetic-for-arithmetic, the legacy
-    ``fecam.arch.evaluate_array`` computation — the paper's Tab. IV /
-    Fig. 7 producer — relocated behind the unified front door.
+    The paper's Tab. IV / Fig. 7 producer: search latency and energy
+    from :func:`fecam.cam.word.simulate_word_search`, area, drivers and
+    encoder from the analytical tier.
     """
     from ..arch.geometry import cell_geometry
     from ..cam.word import simulate_word_search

@@ -3,9 +3,8 @@
 Every fidelity tier answers the same questions the paper's Table IV
 asks — cell/macro area, write energy, 1-step and total search latency,
 1-step/2-step/average search energy — so every tier returns the same
-frozen dataclass.  ``fecam.arch.ArrayFoM`` is an alias of this class:
-legacy callers of :func:`fecam.arch.evaluate_array` receive the very
-same type the metrics API returns.
+frozen dataclass, and :func:`fecam.metrics.evaluate` is the one way to
+get one.
 """
 
 from __future__ import annotations

@@ -114,11 +114,11 @@ class DesignPoint:
     def key(self, fidelity: str) -> Tuple:
         """Canonical registry key for this point at one fidelity.
 
-        The miss rate is rounded (as the legacy ``evacam`` cache did) so
-        float noise cannot fragment the cache, and timing overrides only
-        key the ``"spice"`` tier — the paper/analytical tiers have no
-        transient schedule to override, so every timing variant of a
-        point shares their one cached answer.
+        The miss rate is rounded so float noise cannot fragment the
+        cache, and timing overrides only key the ``"spice"`` tier — the
+        paper/analytical tiers have no transient schedule to override,
+        so every timing variant of a point shares their one cached
+        answer.
         """
         return (self.design, self.word_length, self.rows, self.banks,
                 round(self.step1_miss_rate, 4),

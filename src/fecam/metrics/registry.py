@@ -1,16 +1,14 @@
 """Shared memoizing registry for design-point evaluations.
 
-One process-wide cache replaces the ad-hoc ``_CACHE`` dict that lived in
-``fecam.arch.evacam``: every tier (paper / analytical / spice) and every
-front door (``metrics.evaluate``, the legacy ``evaluate_array``, a
+One process-wide cache: every tier (paper / analytical / spice) and
+every caller (``metrics.evaluate``, :class:`~fecam.arch.TcamMacro`, a
 store's :class:`~fecam.functional.EnergyModel`) shares it, keyed by the
 *normalized* :meth:`DesignPoint.key` — so mapping-style timing overrides
 (unhashable dicts) land on the same slot as their ``WordTimings``
 equivalent instead of raising ``TypeError``.
 
 Cache hits return the identical :class:`~fecam.metrics.Fom` object (it
-is frozen, so sharing is safe); ``clear_registry()`` — also exported as
-the legacy alias :func:`fecam.arch.clear_cache` — empties it.
+is frozen, so sharing is safe); ``clear_registry()`` empties it.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 This subpackage is a self-contained, SPICE-like modified-nodal-analysis
 engine.  It exists because the paper's evaluation is entirely SPICE-based
-and no external simulator is available in this environment; see DESIGN.md
-(S1) for the substitution rationale.
+and the library carries its own simulator rather than depend on an
+external one.
 
 Typical usage::
 

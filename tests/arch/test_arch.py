@@ -4,9 +4,10 @@ import pytest
 
 from fecam.arch import (PAPER_TABLE4, PriorityEncoder, SharedDriverMat,
                         WIRE_14NM, cell_geometry, column_wire,
-                        driver_params_for, evaluate_array, ml_wire)
+                        driver_params_for, ml_wire)
 from fecam.designs import DesignKind
 from fecam.errors import CalibrationError, OperationError
+from fecam.metrics import DesignPoint, evaluate
 
 
 class TestGeometry:
@@ -106,7 +107,8 @@ class TestEncoder:
 
 class TestEvaluateArray:
     def test_fom_row_well_formed(self):
-        fom = evaluate_array(DesignKind.DG_1T5, rows=64, word_length=16)
+        fom = evaluate(DesignPoint(DesignKind.DG_1T5, word_length=16,
+                                   rows=64), "spice")
         row = fom.as_row()
         assert row["design"] == "1.5T1DG-Fe"
         assert row["cell_area_um2"] == pytest.approx(0.156, rel=0.02)
@@ -115,18 +117,18 @@ class TestEvaluateArray:
         assert row["energy_avg_fj"] > 0
 
     def test_early_termination_average(self):
-        lo = evaluate_array(DesignKind.DG_1T5, word_length=16,
-                            step1_miss_rate=1.0)
-        hi = evaluate_array(DesignKind.DG_1T5, word_length=16,
-                            step1_miss_rate=0.0)
+        lo = evaluate(DesignPoint(DesignKind.DG_1T5, word_length=16,
+                                  step1_miss_rate=1.0), "spice")
+        hi = evaluate(DesignPoint(DesignKind.DG_1T5, word_length=16,
+                                  step1_miss_rate=0.0), "spice")
         assert lo.search_energy_avg < hi.search_energy_avg
         assert lo.search_energy_avg == pytest.approx(lo.search_energy_1step)
         assert hi.search_energy_avg == pytest.approx(hi.search_energy_total)
 
     def test_bad_miss_rate(self):
         with pytest.raises(OperationError):
-            evaluate_array(DesignKind.DG_1T5, word_length=16,
-                           step1_miss_rate=1.5)
+            DesignPoint(DesignKind.DG_1T5, word_length=16,
+                        step1_miss_rate=1.5)
 
     def test_paper_reference_table_complete(self):
         assert set(PAPER_TABLE4) == set(DesignKind)

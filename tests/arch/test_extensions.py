@@ -1,85 +1,11 @@
-"""Tests for the extension tiers: variability MC, analytical estimator,
-banked macro."""
-
-import math
-import random
+"""Tests for the extension tiers: analytical estimator, banked macro."""
 
 import pytest
 
-from fecam.arch import TcamMacro, estimate_search, evaluate_array
+from fecam.arch import TcamMacro, estimate_search
 from fecam.designs import DesignKind
-from fecam.devices import (MonteCarloResult, VariationParams, divider_yield,
-                           sample_vth_shifts)
-from fecam.errors import CalibrationError, OperationError
-
-
-class TestVariationParams:
-    def test_mvt_state_has_largest_sigma(self):
-        p = VariationParams()
-        s_hvt = p.fefet_state_sigma(0.0, 0.9)
-        s_mvt = p.fefet_state_sigma(0.5, 0.9)
-        s_lvt = p.fefet_state_sigma(1.0, 0.9)
-        assert s_mvt > s_hvt == pytest.approx(s_lvt)
-
-    def test_more_domains_reduce_mvt_sigma(self):
-        few = VariationParams(n_domains=10)
-        many = VariationParams(n_domains=1000)
-        assert few.fefet_state_sigma(0.5, 0.9) > many.fefet_state_sigma(0.5, 0.9)
-
-    def test_pelgrom_scaling(self):
-        p = VariationParams()
-        small = p.mos_sigma(40e-9, 20e-9)
-        big = p.mos_sigma(40e-9, 720e-9)
-        assert small == pytest.approx(p.sigma_vth_mos_ref)
-        assert big < small
-        assert small / big == pytest.approx(math.sqrt(720 / 20), rel=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(CalibrationError):
-            VariationParams(n_domains=0)
-        with pytest.raises(CalibrationError):
-            VariationParams(sigma_pr_rel=-0.1)
-
-
-class TestMonteCarlo:
-    def test_zero_variation_gives_full_yield(self):
-        quiet = VariationParams(sigma_vth_fefet=0.0, sigma_pr_rel=0.0,
-                                sigma_vth_mos_ref=0.0, n_domains=10 ** 9)
-        r = divider_yield(DesignKind.DG_1T5, samples=10, params=quiet)
-        assert r.yield_fraction == 1.0
-        assert r.worst_mismatch_margin > 0.08
-
-    def test_yield_degrades_with_sigma(self):
-        mild = divider_yield(DesignKind.SG_1T5, samples=60,
-                             params=VariationParams(sigma_vth_fefet=0.01,
-                                                    n_domains=500))
-        harsh = divider_yield(DesignKind.SG_1T5, samples=60,
-                              params=VariationParams(sigma_vth_fefet=0.08,
-                                                     n_domains=20))
-        assert mild.yield_fraction > harsh.yield_fraction
-
-    def test_result_statistics(self):
-        r = divider_yield(DesignKind.DG_1T5, samples=40)
-        assert isinstance(r, MonteCarloResult)
-        assert len(r.mismatch_margins) == 40
-        assert r.margin_percentile(0.0) <= r.margin_percentile(0.99)
-        assert 0.0 <= r.yield_fraction <= 1.0
-
-    def test_seed_reproducible(self):
-        a = divider_yield(DesignKind.DG_1T5, samples=25, seed=7)
-        b = divider_yield(DesignKind.DG_1T5, samples=25, seed=7)
-        assert a.mismatch_margins == b.mismatch_margins
-
-    def test_validation(self):
-        with pytest.raises(OperationError):
-            divider_yield(DesignKind.DG_2FEFET)
-        with pytest.raises(OperationError):
-            divider_yield(DesignKind.DG_1T5, samples=0)
-
-    def test_sample_shift_keys(self):
-        rng = random.Random(0)
-        shifts = sample_vth_shifts(DesignKind.DG_1T5, VariationParams(), rng)
-        assert set(shifts) == {"fe_hvt", "fe_lvt", "fe_mvt", "tn", "tp", "tml"}
+from fecam.errors import OperationError
+from fecam.metrics import DesignPoint, evaluate
 
 
 class TestAnalyticalEstimator:
@@ -107,7 +33,7 @@ class TestAnalyticalEstimator:
         latency within 3x, energy within 4x."""
         for d in DesignKind.fefet_designs():
             for n in (32, 64):
-                spice = evaluate_array(d, word_length=n)
+                spice = evaluate(DesignPoint(d, word_length=n), "spice")
                 quick = estimate_search(d, n)
                 ratio = quick.latency_per_eval / spice.latency_1step
                 assert 1 / 3 < ratio < 3, (d, n, ratio)

@@ -50,11 +50,6 @@ class TestStepMasks:
         with pytest.raises(ValueError):
             a[0][0] = np.uint64(0)
 
-    def test_engine_shim_still_answers(self):
-        even, odd = TernaryCAM._step_masks(100, n_chunks_for(100))
-        ref_even, ref_odd = scalar_step_masks(100)
-        assert (even == ref_even).all() and (odd == ref_odd).all()
-
 
 class TestGenerationSemantics:
     def test_mutations_advance_exactly_on_content_change(self):

@@ -6,11 +6,10 @@ import dataclasses
 import pytest
 
 import fecam.cam.word as word_mod
-from fecam.arch import evaluate_array
 from fecam.designs import DesignKind
 from fecam.errors import OperationError
 from fecam.functional import EnergyModel, TernaryCAM
-from fecam.metrics import clear_registry
+from fecam.metrics import DesignPoint, clear_registry, evaluate
 from fecam.store import CamStore, StoreConfig
 
 
@@ -94,7 +93,8 @@ class TestFrozenEnergyModel:
 
     def test_default_resolution_matches_legacy_spice_path(self):
         resolved = EnergyModel(DesignKind.DG_1T5, 16).resolve()
-        fom = evaluate_array(DesignKind.DG_1T5, word_length=16)
+        fom = evaluate(DesignPoint(DesignKind.DG_1T5, word_length=16),
+                       "spice")
         assert resolved.fidelity == "spice"
         assert resolved.e_1step_per_bit == fom.search_energy_1step
         assert resolved.e_2step_per_bit == fom.search_energy_total

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from fecam.arch import PAPER_TABLE4, clear_cache, evaluate_array
+from fecam.arch import PAPER_TABLE4
 from fecam.cam.word import WordTimings
 from fecam.designs import DesignKind
 from fecam.errors import OperationError
 from fecam.metrics import (ANALYTICAL_ENERGY_FACTOR,
                            ANALYTICAL_LATENCY_FACTOR, DesignPoint,
-                           FIDELITIES, Fom, clear_registry, evaluate,
-                           registry_size, sweep, sweep_records)
+                           FIDELITIES, clear_registry, evaluate, sweep,
+                           sweep_records)
 
 # Stated cross-tier tolerance (fecam.metrics): the closed-form tier
 # must agree with SPICE within these factors.
@@ -176,13 +176,6 @@ class TestCrossTierConsistency:
         assert quick.write_energy_per_cell == truth.write_energy_per_cell
         assert quick.write_voltage == truth.write_voltage
 
-    def test_legacy_front_door_is_the_spice_tier(self):
-        legacy = evaluate_array(DesignKind.DG_1T5, word_length=32)
-        fom = evaluate(DesignPoint(DesignKind.DG_1T5, word_length=32),
-                       "spice")
-        assert legacy is fom  # same registry slot, same object
-        assert isinstance(legacy, Fom)
-
 
 class TestRegistry:
     def test_cache_hits_are_identical_objects(self):
@@ -197,12 +190,6 @@ class TestRegistry:
         second = evaluate(point, "analytical")
         assert first is not second
         assert first == second
-
-    def test_legacy_clear_cache_alias(self):
-        evaluate(DesignPoint(DesignKind.SG_1T5), "paper")
-        assert registry_size() > 0
-        clear_cache()  # the fecam.arch name
-        assert registry_size() == 0
 
     def test_timings_override_shares_slot_with_equivalent(self):
         a = evaluate(DesignPoint(DesignKind.DG_1T5,
@@ -230,8 +217,8 @@ class TestRegistry:
 
     def test_spice_tier_accepts_mapping_timings(self):
         """The legacy cache raised TypeError on dict overrides."""
-        fom = evaluate_array(DesignKind.DG_1T5, word_length=16,
-                             timings={"dt": 25e-12})
+        fom = evaluate(DesignPoint(DesignKind.DG_1T5, word_length=16,
+                                   timings={"dt": 25e-12}), "spice")
         assert fom.latency_total > 0
 
     def test_spice_tier_honours_a_t_step_override(self):
