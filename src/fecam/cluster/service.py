@@ -8,9 +8,10 @@ excluded, the generation every worker serves under its seqlock.
 
 ``search_many`` scatters a plain-string burst on the caller's thread:
 the kernel runs in the workers, so the one dispatcher thread would only
-serialise parent-side work and keep one scatter in flight.  Bursts of
-:class:`~fecam.store.Query` objects (per-query masks) still go through
-the dispatcher, which groups them by mask.
+serialise parent-side work and keep one scatter in flight.  Its results
+are frozen like the dispatcher's (a copy of each match list).  Bursts
+of :class:`~fecam.store.Query` objects (per-query masks) still go
+through the dispatcher, which groups them by mask.
 
 A hung worker stalls writers, and every read behind a waiting writer,
 for up to ``_SEND_RETRIES + 1`` rounds x workers x (``read_timeout +
@@ -106,10 +107,7 @@ class ClusterService(SearchService):
             self._served += n
             for _ in range(n):
                 self._latencies.record(wall)
-        # Cluster results are rebuilt in this process from pickled wire
-        # rows, so they share nothing with live entries; freeze() would
-        # only rebuild them a second time (~1 us/query).
-        return [ServedResult(r, generation, wall)  # fecam: noqa[FCA004]
+        return [ServedResult(r.freeze(), generation, wall)
                 for r in results]
 
     def worker_stats(self) -> List[Dict[str, Any]]:

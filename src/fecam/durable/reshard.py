@@ -4,9 +4,10 @@ Growing (or shrinking) a store's bank fan-out normally means rebuilding
 the backend — seconds of downtime at scale.  :func:`reshard` does it
 with a bounded pause instead, in three phases:
 
-1. **Freeze** (read lock): copy the live entry list and arm a *tap* on
-   the durable store's journal, so every write that lands after the
-   freeze is captured as a resolved record.  Readers keep serving.
+1. **Freeze** (read lock): take the live entry list (a true snapshot:
+   writes replace entries, never mutate them) and arm a *tap* on the
+   durable store's journal, so every write that lands after the freeze
+   is captured as a resolved record.  Readers keep serving.
 2. **Build** (no lock): construct the new-geometry backend and bulk-load
    the frozen entries in sequence order — the deterministic placement
    replay depends on.  Traffic (reads *and* writes) flows untouched.
@@ -144,6 +145,8 @@ def reshard(service: Any, *, banks: int,
     try:
         def freeze(st):
             config = _new_config(st.config, banks, rows)
+            # A snapshot: later writes replace entries, never mutate
+            # them, so only the tapped records carry what lands next.
             frozen = st.backend.entries()
             # Arm the tap while the read lock excludes writers: no op
             # can slip between the freeze and the first tapped record.

@@ -424,13 +424,18 @@ class TcamFabric:
 
     def update(self, key: Hashable, word: str, *,
                payload: Any = None) -> Match:
-        """Rewrite an entry's word in place (bank/row/priority kept)."""
+        """Rewrite an entry's word; returns the :class:`Match` that
+        replaces it (bank/row/priority/seq kept).
+
+        Copy-on-write: the published ``Match`` is left untouched, so a
+        result taken before the write keeps naming the old word."""
         word = normalize_word(word)
-        entry = self.entry(key)
-        self.banks[entry.bank].update(entry.row, word)
-        entry.word = word
-        if payload is not None:
-            entry.payload = payload
+        old = self.entry(key)
+        self.banks[old.bank].update(old.row, word)
+        entry = Match(key, word, old.priority, old.bank, old.row,
+                      old.payload if payload is None else payload, old.seq)
+        self._entries[key] = entry
+        self._row_entry[old.bank * self.rows_per_bank + old.row] = entry
         return entry
 
     # -- search ------------------------------------------------------------------

@@ -1,19 +1,22 @@
 """The search result model every tier returns (re-exported by
 :mod:`fecam.store.result`): :class:`Match`, :class:`Query`,
 :class:`QueryResult`, and :class:`BatchMatches`, the columnar batch
-result that a batch search's per-query results are views over."""
+result that a batch search's per-query results are views over.
+
+A published :class:`Match` is never mutated (a write replaces it), so a
+result is a snapshot as soon as its matches are resolved, and
+:meth:`QueryResult.freeze` copies nothing but the match list."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
-from typing import (Any, Hashable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import TernaryValueError
 
-__all__ = ["Match", "Query", "LazyMatches", "QueryResult", "BatchMatches"]
+__all__ = ["Match", "Query", "QueryResult", "BatchMatches"]
 
 _KEY = attrgetter("key")
 
@@ -22,7 +25,11 @@ _KEY = attrgetter("key")
 class Match:
     """One stored entry and where the fabric placed it — the single
     record the fabric stores and every search (fabric, store, served)
-    returns."""
+    returns.
+
+    Once the fabric has published a ``Match`` it is never mutated: a
+    write replaces it with a new object, so a result keeps naming what
+    it matched.  Re-read an entry's current state with ``get()``."""
 
     key: Hashable
     word: str
@@ -60,57 +67,6 @@ class Query:
             f"got {type(query).__name__}")
 
 
-class LazyMatches(Sequence):
-    """A frozen match list that materializes :class:`Match` objects on
-    first access.
-
-    Holds the per-match field tuples captured at freeze time (so later
-    writes to the backend's live ``Match`` objects cannot leak in) and
-    defers constructing ``Match`` instances until somebody actually
-    looks: a served result that is only counted, or whose caller reads
-    nothing beyond ``len()``, never pays the per-match object builds.
-    """
-
-    __slots__ = ("_rows", "_items")
-
-    def __init__(self, rows: List[Tuple]):
-        self._rows = rows          # (key, word, priority, bank, row,
-        self._items: Optional[List[Match]] = None   # payload, seq)
-
-    @classmethod
-    def snapshot(cls, matches: Sequence[Match]) -> "LazyMatches":
-        """Capture the field state of live matches without building
-        detached ``Match`` objects yet."""
-        return cls([(m.key, m.word, m.priority, m.bank, m.row,
-                     m.payload, m.seq) for m in matches])
-
-    def _materialize(self) -> List[Match]:
-        items = self._items
-        if items is None:
-            items = [Match(*row) for row in self._rows]
-            self._items = items
-        return items
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __iter__(self) -> Iterator[Match]:
-        return iter(self._materialize())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LazyMatches):
-            other = other._materialize()
-        if isinstance(other, list):
-            return self._materialize() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"LazyMatches({self._materialize()!r})"
-
-
 @dataclass(slots=True)
 class QueryResult:
     """Priority-ordered matches of one query and what serving it cost.
@@ -127,19 +83,13 @@ class QueryResult:
     cached: bool = False
 
     def freeze(self) -> "QueryResult":
-        """A frozen snapshot detached from the backend's live matches.
+        """A snapshot safe to hand past the lock it was computed under.
 
-        Backends reuse live :class:`Match` objects (``update()``
-        mutates word/payload in place), so anything that outlives the
-        lock it was computed under must hold copies.  The snapshot is
-        field tuples plus a :class:`LazyMatches` view — cheaper than
-        cloning ``Match`` objects eagerly, with materialization paid
-        only by results that are actually inspected.
+        Published :class:`Match` objects are never mutated, so copying
+        the match list (which a caller may mutate) is all it takes.
         """
-        return QueryResult(query=self.query,
-                           matches=LazyMatches.snapshot(self.matches),
-                           energy=self.energy, latency=self.latency,
-                           cached=self.cached)
+        return QueryResult(self.query, list(self.matches), self.energy,
+                           self.latency, self.cached)
 
     @property
     def best(self) -> Optional[Match]:
@@ -200,6 +150,11 @@ class _BatchView(QueryResult):
     def matches(self, matches: Sequence[Match]) -> None:
         self._matches = matches
 
+    def freeze(self) -> "QueryResult":
+        """Already a snapshot: the batch's entries never change, and
+        ``matches`` is a fresh slice per view."""
+        return self
+
     @property
     def match_keys(self) -> List[Hashable]:
         if self._matches is not None:  # already read, or reassigned
@@ -216,8 +171,9 @@ class BatchMatches:
     """One batch search's matches in columnar form: every matched
     :class:`Match`, grouped by query in priority order, query ``i``
     owning ``entries[offsets[i]:offsets[i + 1]]``.  Entries are resolved
-    from arena rows under the search's read lock, so a later delete, or
-    an insert reusing a row, cannot change what a result names."""
+    from arena rows under the search's read lock, so a later update or
+    delete, or an insert reusing a row, cannot change what a result
+    names."""
 
     __slots__ = ("bits", "mask", "entries", "offsets", "keys")
 

@@ -17,7 +17,10 @@ Consistency is snapshot isolation by construction:
   store's write-generation at which it was computed
   (:attr:`ServedResult.generation`) — a serial replay of the write
   journal up to that generation reproduces the result bit-identically
-  (the stress suite proves exactly this).
+  (the stress suite proves exactly this);
+* a write replaces an entry's :class:`~fecam.store.result.Match`
+  instead of mutating it, so a served result keeps naming what it
+  matched with no deep copy: ``freeze()`` only detaches the list.
 
 Backpressure is explicit: a full queue raises
 :class:`~fecam.errors.ServiceOverloaded` at submission, a closed
@@ -393,15 +396,14 @@ class SearchService:
         not fit under ``max_queue``, rejects the burst before any of
         it enqueues.
         """
-        enqueued_at, pendings = self._build_burst(queries, mask,
-                                                  shared_future=None)
+        pendings = self._build_burst(queries, mask, shared_future=None)
         self._enqueue(pendings)
         return [pending.future for pending in pendings]
 
     def _build_burst(self, queries: Sequence[Union[Query, str]],
                      mask: Optional[str], *,
                      shared_future: "Optional[Future]"
-                     ) -> Tuple[float, List[_Pending]]:
+                     ) -> List[_Pending]:
         """Validate a burst and wrap it in pendings, not yet enqueued.
 
         With ``shared_future`` the whole burst rides one :class:`_Burst`
@@ -422,7 +424,15 @@ class SearchService:
             future = shared_future if shared_future is not None else Future()
             pendings.append(_Pending(bits, effective_mask, future,
                                      enqueued_at, trace, burst, slot))
-        return enqueued_at, pendings
+        return pendings
+
+    def _submit_burst(self, queries: Sequence[Union[Query, str]],
+                      mask: Optional[str]) -> "Future[List[ServedResult]]":
+        """Validate and enqueue a burst on ONE shared future (see
+        :class:`_Burst`), all-or-nothing like :meth:`submit_many`."""
+        shared: "Future[List[ServedResult]]" = Future()
+        self._enqueue(self._build_burst(queries, mask, shared_future=shared))
+        return shared
 
     def _enqueue(self, pendings: List[_Pending]) -> None:
         """Admit a validated burst under one mutex hold, one wakeup.
@@ -474,11 +484,7 @@ class SearchService:
         """
         if not queries:
             return []
-        shared: "Future[List[ServedResult]]" = Future()
-        _enqueued_at, pendings = self._build_burst(queries, mask,
-                                                   shared_future=shared)
-        self._enqueue(pendings)
-        return shared.result(timeout)
+        return self._submit_burst(queries, mask).result(timeout)
 
     async def asearch(self, query: Union[Query, str],
                       mask: Optional[str] = None) -> ServedResult:
@@ -495,9 +501,12 @@ class SearchService:
     async def asearch_many(self, queries: Sequence[Union[Query, str]],
                            mask: Optional[str] = None
                            ) -> List[ServedResult]:
-        futures = [asyncio.wrap_future(self.submit(query, mask))
-                   for query in queries]
-        return list(await asyncio.gather(*futures))
+        """``asyncio`` burst door: :meth:`search_many`'s one shared
+        future, awaited; a malformed or overflowing burst is rejected
+        before any of it enqueues."""
+        if not queries:
+            return []
+        return await asyncio.wrap_future(self._submit_burst(queries, mask))
 
     # -- writes ------------------------------------------------------------------
 
@@ -656,14 +665,11 @@ class SearchService:
                     kernel_done = time.perf_counter()
                     for _trace, span in kernel_spans:
                         span.close(kernel_done)
-                    # Freeze the results while the read lock still
-                    # excludes writers: backends reuse live Match
-                    # objects (update() mutates word/payload in place),
-                    # so served results must hold copies or a later
-                    # write would retroactively rewrite them — the
-                    # torn read the stress suite's serial replay
-                    # catches.  freeze() snapshots field tuples and
-                    # materializes Match objects lazily.
+                    # Freeze under the read lock.  Writes replace Match
+                    # objects rather than mutate them, so a result's
+                    # matches already name the pre-write entries;
+                    # freeze() only detaches the match list (a batch
+                    # view's slice is already its own).
                     frozen = [r.freeze() for r in results]
                     if kernel_spans:
                         freeze_done = time.perf_counter()

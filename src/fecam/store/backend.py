@@ -76,7 +76,8 @@ class SearchBackend(ABC):
     @abstractmethod
     def update(self, key: Hashable, word: str,
                payload: Any = None) -> Match:
-        """Rewrite an entry's word in place (placement/priority kept)."""
+        """Rewrite an entry's word; returns the new :class:`Match` that
+        replaces the published one (placement/priority kept)."""
 
     @abstractmethod
     def get(self, key: Hashable) -> Match:

@@ -4,7 +4,9 @@ Every backend answers every workload with the same shapes:
 
 * :class:`Query` — what to search (bits plus an optional global mask);
 * :class:`Match` — one stored entry that matched, with its placement
-  (the fabric's own entry record, re-exported here);
+  (the fabric's own entry record, re-exported here).  A ``Match`` is a
+  snapshot: a write replaces the entry's record rather than mutating
+  it;
 * :class:`QueryResult` — the priority-ordered matches of one query plus
   the energy/latency actually paid to serve it;
 * :class:`StoreStats` — cumulative store telemetry.
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..fabric.result import LazyMatches, Match, Query, QueryResult
+from ..fabric.result import Match, Query, QueryResult
 
-__all__ = ["Query", "Match", "LazyMatches", "QueryResult", "StoreStats"]
+__all__ = ["Query", "Match", "QueryResult", "StoreStats"]
 
 
 @dataclass

@@ -246,7 +246,8 @@ class CamStore:
     @requires_lock("write")
     def update(self, key: Hashable, word: str, *,
                payload: Any = None) -> Match:
-        """Rewrite an entry's word in place (placement/priority kept)."""
+        """Rewrite an entry's word; returns the :class:`Match` that
+        replaces it (placement/priority kept, the old one untouched)."""
         match = self.backend.update(key, normalize_word(word), payload)
         self._wrote()
         return match
@@ -298,14 +299,6 @@ class CamStore:
         if effective_masks:
             mask = next(iter(effective_masks))
         return normalize_queries(bits, self.width), mask
-
-    @staticmethod
-    def _snapshot(result: QueryResult) -> QueryResult:
-        # Copy stored/served matches lists so a caller mutating a result
-        # cannot corrupt the cached original.  Built, not replace()d:
-        # the backend's results are batch views, not plain results.
-        return QueryResult(result.query, list(result.matches),
-                           result.energy, result.latency, result.cached)
 
     @staticmethod
     def _from_cache(hit: QueryResult) -> QueryResult:
@@ -401,7 +394,11 @@ class CamStore:
         if pending:
             computed = self._compute(list(pending), mask)
             for (bits, indices), result in zip(pending.items(), computed):
-                cache.put((bits, mask), generation, self._snapshot(result))
+                # The base-class copy, not result.freeze(): a view's
+                # freeze() returns the view itself, whose match list
+                # the caller it is served to may mutate.
+                cache.put((bits, mask), generation,
+                          QueryResult.freeze(result))
                 results[indices[0]] = result
                 for extra in indices[1:]:
                     cache.note_hit()

@@ -2,9 +2,11 @@
 
 ``submit`` now short-circuits validation for already-canonical
 '0'/'1' queries; everything non-canonical must still take the full
-normalization path and raise the same errors.  Served results are
-frozen via the lazy snapshot and stay isolated from later writes.
+normalization path and raise the same errors.  Served results stay
+isolated from later writes.
 """
+
+import asyncio
 
 import pytest
 
@@ -12,7 +14,7 @@ from fecam.errors import (OperationError, ServiceOverloaded,
                           TernaryValueError)
 from fecam.service import SearchService
 from fecam.store import CamStore, StoreConfig
-from fecam.store.result import LazyMatches, Query
+from fecam.store.result import Query
 
 
 @pytest.fixture
@@ -45,10 +47,9 @@ def test_malformed_queries_still_fail_at_the_front_door(store):
         assert service.search("01010000").result.best.key == "rule-a"
 
 
-def test_served_results_are_lazy_frozen_snapshots(store):
+def test_served_results_are_frozen_snapshots(store):
     with SearchService(store) as service:
         served = service.search("01010000")
-        assert isinstance(served.result.matches, LazyMatches)
         service.update("rule-a", "1111XXXX")
         assert served.result.matches[0].word == "0101XXXX"
         # A post-write search observes the new content.
@@ -74,6 +75,24 @@ def test_burst_validation_is_all_or_nothing(store):
         with pytest.raises(TernaryValueError):
             service.submit_many(["01010000", "0101"])
         assert service.stats.submitted == 0  # nothing enqueued
+
+
+def test_async_burst_validation_is_all_or_nothing(store):
+    with SearchService(store) as service:
+        with pytest.raises(TernaryValueError):
+            asyncio.run(service.asearch_many(["01010000", "0101"]))
+        assert service.stats.submitted == 0  # nothing enqueued
+        served = asyncio.run(service.asearch_many(["01010000"] * 3))
+    assert [s.result.best.key for s in served] == ["rule-a"] * 3
+
+
+def test_async_burst_backpressure_is_all_or_nothing(store):
+    service = SearchService(store, start=False, max_queue=4)
+    with pytest.raises(ServiceOverloaded):
+        asyncio.run(service.asearch_many(["01010000"] * 5))
+    assert service.stats.submitted == 0
+    assert service.stats.overloads == 1
+    service.close()
 
 
 def test_burst_backpressure_is_all_or_nothing(store):

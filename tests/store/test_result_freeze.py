@@ -1,12 +1,12 @@
-"""Frozen-snapshot semantics of ``QueryResult.freeze`` / LazyMatches.
+"""Snapshot semantics of ``QueryResult.freeze``.
 
-The serve path's consistency contract: a served result must be
-detached from the backend's live ``Match`` objects (which ``update()``
-mutates in place), while materializing its ``Match`` views only when
-somebody actually inspects them.
+Published ``Match`` objects are never mutated (a write replaces them),
+so freezing a result is a shallow copy: a fresh match list holding the
+same ``Match`` objects, which a caller may mutate without touching the
+original.
 """
 
-from fecam.store.result import LazyMatches, Match, Query, QueryResult
+from fecam.store.result import Match, Query, QueryResult
 
 
 def live_matches():
@@ -21,38 +21,19 @@ def test_freeze_detaches_from_live_matches():
     result = QueryResult(query=Query(bits="0101"), matches=live,
                          energy=2.0, latency=0.5)
     frozen = result.freeze()
-    # A later in-place write (what update() does) must not leak in.
-    live[0].word = "XXXX"
-    live[0].payload = {"tag": 99}
-    assert frozen.matches[0].word == "0101"
-    assert frozen.matches[0].payload == {"tag": 1}
-    assert frozen.matches[0] is not live[0]
+    # A fresh list of the same (never mutated) Match objects.
+    assert frozen.matches is not live
+    assert all(a is b for a, b in zip(frozen.matches, live, strict=True))
+    # Reshaping either list leaves the other alone.
+    live.pop()
+    assert [m.key for m in frozen.matches] == ["a", "b"]
+    frozen.matches.clear()
+    assert [m.key for m in result.matches] == ["a"]
     # Scalars and the query ride along unchanged.
     assert frozen.energy == 2.0
     assert frozen.latency == 0.5
     assert frozen.query == result.query
     assert frozen.cached is result.cached
-
-
-def test_lazy_matches_sequence_protocol():
-    lazy = LazyMatches.snapshot(live_matches())
-    assert len(lazy) == 2
-    assert lazy[0].key == "a"
-    assert lazy[-1].key == "b"
-    assert [m.key for m in lazy] == ["a", "b"]
-    assert lazy == live_matches()          # element-wise dataclass eq
-    assert live_matches() == list(lazy)
-    assert lazy != [live_matches()[0]]
-    assert lazy[0:1] == [lazy[0]]
-
-
-def test_materialization_is_lazy_and_stable():
-    lazy = LazyMatches.snapshot(live_matches())
-    assert lazy._items is None             # nothing built yet
-    first = lazy[0]
-    assert lazy._items is not None         # built once on first access
-    assert lazy[0] is first                # identity stable thereafter
-    assert list(lazy)[0] is first
 
 
 def test_result_convenience_accessors_work_frozen():
