@@ -23,5 +23,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     package_data={"fecam.kernels": ["_kernel.c"]},
-    install_requires=["numpy"],
+    # np.trapezoid (TransientResult.energy) is NumPy 2.0+.
+    install_requires=["numpy>=2.0"],
 )

@@ -27,7 +27,8 @@
  * it they are ignored and the kernel runs single-threaded.
  *
  * Part 2 (fecam_mna_*, at the end of the file) assembles the SPICE
- * engine's Jacobian and residual; see the comment there.
+ * engine's Jacobian and residual and runs its Newton iteration around
+ * the caller's linear solve; see the comments there.
  */
 
 #include <math.h>
@@ -38,7 +39,7 @@
 
 /* Bumped whenever an exported signature changes; the Python side
  * refuses a library whose ABI does not match. */
-#define FECAM_KERNEL_ABI 4
+#define FECAM_KERNEL_ABI 5
 
 FECAM_API int64_t fecam_kernel_abi(void) { return FECAM_KERNEL_ABI; }
 
@@ -613,6 +614,80 @@ FECAM_API void fecam_mna_assemble(
         J[k * n + k] += gmin;
         F[k] += gmin * x[k];
     }
+}
+
+/* One Newton solve's working set, owned by the caller (the ctypes
+ * Structure fecam.kernels.compiled.MnaNewton mirrors this layout, field
+ * for field).  The tolerances are NewtonOptions'; residual is max|F| of
+ * the iterate the last J and -F were assembled at. */
+typedef struct {
+    const int64_t *rows;
+    int64_t n_rows;
+    const double *par;
+    const double *state;
+    double *x;        /* (n,) the iterate, updated in place */
+    double *dx;       /* (n,) the update the caller solved for */
+    double *J;        /* (n, n) Jacobian at x */
+    double *neg_f;    /* (n,) -F at x */
+    int64_t n;
+    int64_t n_nodes;
+    int64_t tran;
+    double h, gmin;
+    double v_limit, abstol_v, abstol_i, reltol, residual_tol;
+    double residual;
+} mna_newton_t;
+
+/* One iteration of _System.solve_newton after its linear solve, then
+ * the assembly the next solve needs.  With update set, dx is applied
+ * exactly as the Python loop applies it: any non-finite entry returns
+ * -1 with x untouched; node entries are clipped to +-v_limit; x moves
+ * by dx; and the step has converged (return 1, nothing assembled) when
+ * every |dx| is within abstol + reltol*|x| (volts on node rows, amperes
+ * on branch rows) and residual — still the one the solve started from —
+ * is within residual_tol.  Otherwise (and always without update) J and
+ * -F are assembled at x, residual becomes max|F| (NaN if any entry is,
+ * like np.max) and the return is 0. */
+FECAM_API int64_t fecam_mna_newton(mna_newton_t *w, int64_t update)
+{
+    const int64_t n = w->n, n_nodes = w->n_nodes;
+    double *x = w->x, *dx = w->dx, *neg_f = w->neg_f;
+    if (update) {
+        for (int64_t k = 0; k < n; k++)
+            if (!isfinite(dx[k]))
+                return -1;
+        const double lim = w->v_limit;
+        for (int64_t k = 0; k < n_nodes; k++) {
+            double d = dx[k];
+            /* np.clip(dv, -lim, lim) is min(max(d, -lim), lim), ties
+             * (signed zeros) going to the bound; d is finite here. */
+            d = d > -lim ? d : -lim;
+            d = d < lim ? d : lim;
+            dx[k] = d;
+            x[k] = x[k] + d;
+        }
+        for (int64_t k = n_nodes; k < n; k++)
+            x[k] = x[k] + dx[k];
+        int converged = 1;
+        for (int64_t k = 0; k < n_nodes; k++)
+            if (!(fabs(dx[k]) <= w->abstol_v + w->reltol * fabs(x[k])))
+                converged = 0;
+        for (int64_t k = n_nodes; k < n; k++)
+            if (!(fabs(dx[k]) <= w->abstol_i + w->reltol * fabs(x[k])))
+                converged = 0;
+        if (converged && w->residual <= w->residual_tol)
+            return 1;
+    }
+    fecam_mna_assemble(w->rows, w->n_rows, w->par, w->state, x, n, n_nodes,
+                       w->tran, w->h, w->gmin, w->J, neg_f);
+    double peak = 0.0;
+    for (int64_t k = 0; k < n; k++) {
+        const double a = fabs(neg_f[k]);
+        if (a > peak || isnan(a))
+            peak = a;
+        neg_f[k] = -neg_f[k];
+    }
+    w->residual = peak;
+    return 0;
 }
 
 /* Accept the converged timestep h at x: capacitor rows store their

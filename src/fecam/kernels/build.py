@@ -1,6 +1,6 @@
 """On-demand C build of the compiled kernels.
 
-The compiled backend (the match kernel and the MNA stamp assembler) is
+The compiled backend (the match kernel and the SPICE Newton iteration) is
 a single C translation unit (``_kernel.c``, shipped with the package)
 built into a shared library by whatever C compiler the host has — no
 Python build dependency, no wheel story, no import-time cost for users
@@ -40,7 +40,7 @@ from ..errors import KernelUnavailableError
 __all__ = ["source_path", "cache_dir", "build_library", "load_library"]
 
 #: ABI the Python bindings speak; must match _kernel.c's FECAM_KERNEL_ABI.
-KERNEL_ABI = 4
+KERNEL_ABI = 5
 
 #: -ffp-contract=off keeps a*b + c two roundings: GCC's GNU-mode default
 #: (and clang's within one expression) fuses it into an FMA, which would

@@ -27,10 +27,18 @@ pext, and the match order is deterministic, so results are
 bit-identical to the NumPy backend (the hypothesis suites in
 ``tests/kernels/`` enforce this on every run).
 
-The MNA pair (:attr:`CompiledKernel.mna_assemble` /
-:attr:`CompiledKernel.mna_commit`) is bound as bare ctypes functions:
-:mod:`fecam.spice.analysis` owns the stamp table and its pointers and
-calls them once per Newton iteration / accepted timestep.
+The MNA entry points are bound as bare ctypes functions;
+:mod:`fecam.spice.analysis` owns the stamp table and its pointers.
+:attr:`CompiledKernel.mna_newton` is the SPICE tier's Newton iteration:
+it takes one :class:`MnaNewton` working set (the stamp table, the
+iterate, the dense system and the tolerances, all fixed per analysis)
+so that one call — two arguments, nothing re-validated — applies the
+solved update, runs the convergence test and assembles J, -F and
+max|F| for the next solve.  The linear solve itself stays NumPy's
+LAPACK ``dgesv`` between calls, which keeps the iterates bit-identical
+to the Python loop.  :attr:`CompiledKernel.mna_assemble` (J and F at
+one iterate) and :attr:`CompiledKernel.mna_commit` (once per accepted
+timestep) complete the set.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from ..analysis.markers import hot_path
 from ..errors import TernaryValueError
 from .build import load_library
 
-__all__ = ["CompiledKernel"]
+__all__ = ["CompiledKernel", "MnaNewton"]
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
@@ -55,6 +63,19 @@ _EXEMPT = ("ctypes shim: every per-row loop runs in compiled code, "
 
 #: Attribute the pointer caches live under on DerivedPlanes/Step1Index.
 _PTR_CACHE = "_compiled_kernel_ptrs"
+
+
+class MnaNewton(ctypes.Structure):
+    """``mna_newton_t`` of ``_kernel.c``, field for field: the working set
+    one :attr:`CompiledKernel.mna_newton` call reads and updates."""
+
+    _fields_ = [("rows", _PTR), ("n_rows", _I64), ("par", _PTR),
+                ("state", _PTR), ("x", _PTR), ("dx", _PTR), ("J", _PTR),
+                ("neg_f", _PTR), ("n", _I64), ("n_nodes", _I64),
+                ("tran", _I64), ("h", _F64), ("gmin", _F64),
+                ("v_limit", _F64), ("abstol_v", _F64), ("abstol_i", _F64),
+                ("reltol", _F64), ("residual_tol", _F64),
+                ("residual", _F64)]
 
 
 def _require(arr: np.ndarray, dtype: type, what: str) -> np.ndarray:
@@ -97,6 +118,10 @@ class CompiledKernel:
         commit = lib.fecam_mna_commit
         commit.restype = None
         commit.argtypes = [_PTR, _I64] + [_PTR] * 3 + [_F64]
+        # (working set, update) -> -1 non-finite dx, 1 converged, 0 not
+        newton = lib.fecam_mna_newton
+        newton.restype = _I64
+        newton.argtypes = [_PTR, _I64]
         omp = lib.fecam_kernel_openmp
         omp.restype = _I64
         omp.argtypes = []
@@ -106,8 +131,10 @@ class CompiledKernel:
         self._count_sparse = count_sp
         self._fill = fill
         self._fill_sparse = fill_sp
-        #: MNA assembly and state commit over a spice stamp table.
+        #: MNA assembly, Newton iteration and state commit over a spice
+        #: stamp table.
         self.mna_assemble = assemble
+        self.mna_newton = newton
         self.mna_commit = commit
         #: Whether the library was built with OpenMP (informational).
         self.openmp = bool(omp())

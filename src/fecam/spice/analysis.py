@@ -10,14 +10,18 @@ The solver follows textbook SPICE practice:
   exposes a companion model through its ``stamp``/``commit`` methods and the
   step is retried with a halved timestep on non-convergence.
 
-Assembly has two paths with bit-identical results.  When the compiled
+Newton has two paths with bit-identical results.  When the compiled
 kernel is active (:func:`fecam.kernels.active_kernel`) and every element
 provides a :meth:`~fecam.spice.netlist.Element.record`, the circuit is
-flattened into a :class:`_StampTable` and one C call per Newton iteration
-assembles J and F (and one per accepted step commits the state).
-Otherwise each element's ``stamp`` runs in Python — the reference path,
-the path without a compiler, and the one for elements without a record
-(``CurrentSource``, ``Switch``, ``Diode``).
+flattened into a :class:`_StampTable` and each Newton iteration is one
+``np.linalg.solve`` plus one C call that applies the update (limiting,
+convergence test) and assembles J, -F and max|F| for the next solve; one
+more C call per accepted step commits the state.  The solve stays
+NumPy's LAPACK so both paths factor the same matrices the same way.
+Otherwise each element's ``stamp`` runs in Python and NumPy does the
+update — the reference path, the path without a compiler, and the one
+for elements without a record (``CurrentSource``, ``Switch``,
+``Diode``).
 
 Matrices are dense numpy for small systems and switch to scipy sparse
 factorization above a size threshold; TCAM word-level circuits stay well
@@ -26,6 +30,7 @@ under a thousand unknowns either way.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -93,21 +98,28 @@ class _StampTable:
     state offset)``; ``par`` and ``state`` are the float64 vectors the
     offsets index.  ``state`` is the working copy of every committed
     capacitor charge and FeFET domain fraction: :meth:`commit` evolves it
-    and :meth:`write_back` hands it to the elements.
+    and :meth:`write_back` hands it to the elements.  ``par`` holds every
+    voltage source's level at the last :meth:`set_levels` (``sources`` /
+    ``level_offsets``, circuit order).  ``newton`` is the compiled Newton
+    iteration's working set over the ``x``/``dx``/``j``/``neg_f`` buffers.
     """
 
     def __init__(self, kernel, elements: Sequence[Element],
-                 records: Sequence[tuple]):
+                 records: Sequence[tuple], n_unknowns: int, n_nodes: int):
+        from ..kernels.compiled import MnaNewton
+
         rows: List[List[int]] = []
         par: List[float] = []
         state: List[float] = []
         self._owners = []   # (element, state offset, state length)
-        self._sources = []  # (level offset in par, VoltageSource)
+        self.sources: List[VoltageSource] = []
+        level_offsets: List[int] = []
         for element, (element_rows, element_state) in zip(elements, records):
             base = len(state)
             for kind, nodes, params, slot in element_rows:
-                if kind == REC_VSRC:
-                    self._sources.append((len(par), element))
+                if kind == REC_VSRC and isinstance(element, VoltageSource):
+                    self.sources.append(element)
+                    level_offsets.append(len(par))
                 nodes = list(nodes) + [-1] * (4 - len(nodes))
                 rows.append([kind] + nodes
                             + [len(par), base + slot if slot >= 0 else 0])
@@ -121,16 +133,32 @@ class _StampTable:
         self._kernel = kernel
         self._ptrs = (self.rows.ctypes.data, len(rows), self.par.ctypes.data,
                       self.state.ctypes.data)
+        self.level_offsets = np.array(level_offsets, dtype=np.intp)
+        n = n_unknowns
+        self.x = np.zeros(n)
+        self.dx = np.zeros(n)
+        self.j = np.zeros((n, n))
+        self.neg_f = np.zeros(n)
+        self.newton = MnaNewton(
+            *self._ptrs, self.x.ctypes.data, self.dx.ctypes.data,
+            self.j.ctypes.data, self.neg_f.ctypes.data, n, n_nodes)
+        self._newton_p = ctypes.addressof(self.newton)
 
     def set_levels(self, t: float, source_scale: float) -> None:
-        for offset, source in self._sources:
-            self.par[offset] = source.level(t, source_scale)
+        self.par[self.level_offsets] = [source.level(t, source_scale)
+                                        for source in self.sources]
 
     def assemble(self, x: np.ndarray, n_nodes: int, tran: bool, h: float,
                  gmin: float, j: np.ndarray, f: np.ndarray) -> None:
         self._kernel.mna_assemble(*self._ptrs, x.ctypes.data, x.size,
                                   n_nodes, tran, h, gmin, j.ctypes.data,
                                   f.ctypes.data)
+
+    def newton_step(self, update: bool) -> int:
+        """Apply ``dx`` to ``x`` and test convergence (``update``), then
+        assemble ``j``/``neg_f`` at ``x`` unless converged; returns -1
+        (non-finite ``dx``), 1 (converged) or 0."""
+        return self._kernel.mna_newton(self._newton_p, update)
 
     def commit(self, x: np.ndarray, h: float) -> None:
         self._kernel.mna_commit(*self._ptrs, x.ctypes.data, h)
@@ -176,7 +204,8 @@ class _System:
         records = [element.record() for element in self.circuit.elements]
         if any(record is None for record in records):
             return
-        self.table = _StampTable(kernel, self.circuit.elements, records)
+        self.table = _StampTable(kernel, self.circuit.elements, records,
+                                 self.n_unknowns, self.n_nodes)
 
     def views_for(self, x: np.ndarray) -> List[TerminalVoltages]:
         return [TerminalVoltages(x, e._node_index, e._branch_index)
@@ -201,6 +230,11 @@ class _System:
         Raises :class:`ConvergenceError` if tolerances are not met within
         the iteration limit.
         """
+        table = self.table
+        if table is not None:
+            return self._solve_compiled(table, x0, tran=mode == "tran", t=t,
+                                        h=h, gmin=gmin,
+                                        source_scale=source_scale)
         opts = self.options
         ctx = self.ctx
         ctx.mode = mode
@@ -208,18 +242,10 @@ class _System:
         ctx.h = h
         ctx.source_scale = source_scale
         x = x0.copy()
-        table = self.table
-        if table is None:
-            views = self.views_for(x)
-        else:
-            table.set_levels(t, source_scale)
+        views = self.views_for(x)
         last_residual = math.inf
         for iteration in range(opts.max_iterations):
-            if table is None:
-                self.assemble(x, views, gmin)
-            else:
-                table.assemble(x, self.n_nodes, mode == "tran", h, gmin,
-                               ctx._j, ctx._f)
+            self.assemble(x, views, gmin)
             f = ctx._f
             last_residual = float(np.max(np.abs(f))) if f.size else 0.0
             try:
@@ -252,6 +278,52 @@ class _System:
                 di_ok = True
             if dv_ok and di_ok and last_residual <= opts.residual_tol:
                 return x
+        raise ConvergenceError(
+            f"Newton failed to converge after {opts.max_iterations} iterations "
+            f"(t={t:.3e}s, residual={last_residual:.3e}A)",
+            iterations=opts.max_iterations, residual=last_residual)
+
+    def _solve_compiled(self, table: _StampTable, x0: np.ndarray, *,
+                        tran: bool, t: float, h: float, gmin: float,
+                        source_scale: float) -> np.ndarray:
+        """:meth:`solve_newton` on the stamp table: per iteration one
+        ``np.linalg.solve`` and one C call, with the Python loop's exits,
+        messages, iteration counts and residuals."""
+        opts = self.options
+        table.set_levels(t, source_scale)
+        work = table.newton
+        work.tran = tran
+        work.h = h
+        work.gmin = gmin
+        work.v_limit = opts.v_limit
+        work.abstol_v = opts.abstol_v
+        work.abstol_i = opts.abstol_i
+        work.reltol = opts.reltol
+        work.residual_tol = opts.residual_tol
+        table.x[:] = x0
+        table.newton_step(False)
+        j, neg_f = table.j, table.neg_f
+        last_residual = math.inf
+        for iteration in range(opts.max_iterations):
+            last_residual = work.residual
+            try:
+                if self.n_unknowns >= _SPARSE_THRESHOLD:
+                    from scipy.sparse import csc_matrix
+                    from scipy.sparse.linalg import spsolve
+                    table.dx[:] = spsolve(csc_matrix(j), neg_f)
+                else:
+                    table.dx[:] = np.linalg.solve(j, neg_f)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(
+                    f"singular MNA matrix at t={t:.3e}s (iteration {iteration}): {exc}",
+                    iterations=iteration, residual=last_residual) from exc
+            status = table.newton_step(True)
+            if status > 0:
+                return table.x.copy()
+            if status < 0:
+                raise ConvergenceError(
+                    f"non-finite Newton update at t={t:.3e}s",
+                    iterations=iteration, residual=last_residual)
         raise ConvergenceError(
             f"Newton failed to converge after {opts.max_iterations} iterations "
             f"(t={t:.3e}s, residual={last_residual:.3e}A)",
@@ -381,26 +453,25 @@ def transient(circuit: Circuit, t_stop: float, *,
 def _integrate(system: _System, x: np.ndarray, t_stop: float,
                options: TransientOptions,
                record_nodes: Optional[Sequence[str]]) -> TransientResult:
-    """The backward-Euler time loop of :func:`transient`."""
+    """The backward-Euler time loop of :func:`transient`.
+
+    Each accepted step keeps its solution vector and its source levels;
+    traces, branch currents and powers are sliced out of them after the
+    loop.  On the compiled path the levels are the ones ``set_levels``
+    wrote into the stamp table for the accepted ``t`` (at source scale 1,
+    so equal to ``level(t)``); the Python path calls ``level(t)``.
+    """
     circuit = system.circuit
     table = system.table
 
     node_list = list(record_nodes) if record_nodes else list(circuit.node_names)
     node_idx = {name: circuit.node_index(name) for name in node_list}
-    sources = [e for e in circuit.elements if isinstance(e, VoltageSource)]
+    sources = ([e for e in circuit.elements if isinstance(e, VoltageSource)]
+               if table is None else table.sources)
 
     times: List[float] = [0.0]
-    traces: Dict[str, List[float]] = {name: [0.0 if idx < 0 else float(x[idx])]
-                                      for name, idx in node_idx.items()}
-    currents: Dict[str, List[float]] = {}
-    powers: Dict[str, List[float]] = {}
-    for src in sources:
-        i0 = float(x[src._branch_index[0]])
-        v0 = src.level(0.0)
-        currents[src.name] = [i0]
-        # Branch current flows pos->neg inside the source; delivered power
-        # is -v*i under that convention, negated so "delivered" is positive.
-        powers[src.name] = [-(v0 * i0)]
+    solutions: List[np.ndarray] = [x]
+    levels: list = [[src.level(0.0) for src in sources]]
 
     t = 0.0
     dt_min = options.dt * options.dt_min_factor
@@ -424,20 +495,26 @@ def _integrate(system: _System, x: np.ndarray, t_stop: float,
             new_views = system.views_for(x)
             for element, view in zip(circuit.elements, new_views):
                 element.commit(view)
+            levels.append([src.level(t) for src in sources])
         else:
             table.commit(x, h)
+            levels.append(table.par[table.level_offsets])
         times.append(t)
-        for name, idx in node_idx.items():
-            traces[name].append(0.0 if idx < 0 else float(x[idx]))
-        for src in sources:
-            i_br = float(x[src._branch_index[0]])
-            v_src = src.level(t)
-            currents[src.name].append(i_br)
-            powers[src.name].append(-(v_src * i_br))
+        solutions.append(x)
 
-    return TransientResult(
-        t=np.asarray(times),
-        voltages={k: np.asarray(v) for k, v in traces.items()},
-        branch_currents={k: np.asarray(v) for k, v in currents.items()},
-        source_power={k: np.asarray(v) for k, v in powers.items()},
-    )
+    n_points = len(times)
+    xs = np.array(solutions)
+    source_levels = np.array(levels, dtype=np.float64).reshape(
+        n_points, len(sources))
+    voltages = {name: np.zeros(n_points) if idx < 0 else xs[:, idx].copy()
+                for name, idx in node_idx.items()}
+    currents: Dict[str, np.ndarray] = {}
+    powers: Dict[str, np.ndarray] = {}
+    for k, src in enumerate(sources):
+        i_br = xs[:, src._branch_index[0]].copy()
+        currents[src.name] = i_br
+        # Branch current flows pos->neg inside the source; delivered power
+        # is -v*i under that convention, negated so "delivered" is positive.
+        powers[src.name] = -(source_levels[:, k] * i_br)
+    return TransientResult(t=np.asarray(times), voltages=voltages,
+                           branch_currents=currents, source_power=powers)

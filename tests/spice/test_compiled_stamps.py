@@ -9,6 +9,7 @@ compiler.
 """
 
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -21,6 +22,7 @@ from fecam.cam.word import (SCENARIOS_SINGLE_STEP, SCENARIOS_TWO_STEP,
                             simulate_word_search)
 from fecam.designs import DesignKind
 from fecam.devices import make_fefet
+from fecam.errors import ConvergenceError
 from fecam.devices.calibration import nmos, pmos
 from fecam.spice import (Capacitor, Circuit, Diode, NewtonOptions, Pulse,
                          Resistor, Switch, TransientOptions, VoltageSource,
@@ -258,3 +260,134 @@ def test_compiled_job_really_has_the_kernel():
     system.compile()
     assert system.table is not None
 
+
+
+def transient_fields(result):
+    """Every array of a TransientResult, by name."""
+    fields = {"t": result.t}
+    for group in ("voltages", "branch_currents", "source_power"):
+        for key, arr in getattr(result, group).items():
+            fields[f"{group}.{key}"] = arr
+    return fields
+
+
+def convergence_failure(backend, run):
+    """(message, iterations, residual) of the ConvergenceError ``run()``
+    raises on ``backend``."""
+    kernels.set_backend(backend)
+    with pytest.raises(ConvergenceError) as info:
+        run()
+    exc = info.value
+    return str(exc), exc.iterations, exc.residual
+
+
+def parallel_sources():
+    """Two ideal sources at different levels across one node: the two
+    branch rows of J are equal, so every Newton solve is singular."""
+    ckt = Circuit("clash")
+    ckt.add(VoltageSource("VA", "a", "0", 1.0))
+    ckt.add(VoltageSource("VB", "a", "0", 2.0))
+    ckt.add(Resistor("R1", "a", "0", 1e3))
+    return ckt
+
+
+def steep_inverter(v_step=8.0):
+    """An inverter behind an RC low-pass, driven by a ramp steep enough
+    that one base timestep moves the input several v_limit clamps."""
+    ckt = Circuit("steep")
+    ckt.add(VoltageSource("VIN", "in", "0",
+                          Pulse(0.0, v_step, delay=0.1e-9, rise=0.1e-9,
+                                width=1.0)))
+    ckt.add(Resistor("R1", "in", "g", 1e3))
+    ckt.add(Capacitor("CG", "g", "0", 1e-13))
+    ckt.add(VoltageSource("VDD", "vdd", "0", 0.8))
+    ckt.add(nmos("MN", "out", "g", "0"))
+    ckt.add(pmos("MP", "out", "g", "vdd", "vdd"))
+    ckt.add(Capacitor("CL", "out", "0", 1e-15))
+    return ckt
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", ["singular-solve", "singular-op",
+                                  "max-iterations-op",
+                                  "max-iterations-tran"])
+def test_newton_failures_are_identical(case):
+    """Both Newton loops leave through the same exit with the same
+    message, iteration count and residual."""
+    def run():
+        if case == "singular-solve":
+            system = _System(parallel_sources(), NewtonOptions())
+            system.compile()
+            system.solve_newton(np.zeros(system.n_unknowns), mode="dc",
+                                t=0.0, h=1.0, gmin=1e-12)
+        elif case == "singular-op":
+            operating_point(parallel_sources())
+        elif case == "max-iterations-op":
+            operating_point(word_circuit(DesignKind.DG_1T5, "step2_miss"),
+                            options=NewtonOptions(max_iterations=2))
+        else:
+            circuit, t_stop = write_circuit()
+            newton = NewtonOptions(max_iterations=2)
+            transient(circuit, t_stop,
+                      options=TransientOptions(dt=0.1e-9, newton=newton,
+                                               use_initial_conditions=True))
+
+    reference = convergence_failure("numpy", run)
+    compiled = convergence_failure("compiled", run)
+    assert compiled == reference
+    message, iterations, residual = reference
+    if case.startswith("singular"):
+        assert "singular MNA matrix" in message and iterations == 0
+    else:
+        assert "after 2 iterations" in message
+        assert math.isfinite(residual) and residual > 0.0
+
+
+@needs_compiled
+def test_halved_timestep_retry_is_identical():
+    """A ramp too steep for the base step at this iteration limit: both
+    loops reject the same steps and land on the same time grid.  The
+    tight residual_tol makes the residual test, not only the update
+    size, decide when a solve stops."""
+    dt = 0.05e-9
+    newton = NewtonOptions(max_iterations=6, residual_tol=1e-10)
+    options = TransientOptions(dt=dt, newton=newton)
+    results = []
+    for backend in ("numpy", "compiled"):
+        kernels.set_backend(backend)
+        results.append(transient(steep_inverter(), 0.5e-9,
+                                 options=options))
+    reference, compiled = results
+    steps = np.diff(reference.t)
+    assert steps.min() < 0.75 * dt  # some step really was halved
+    assert reference.t.tobytes() == compiled.t.tobytes()
+    assert_fields_identical(transient_fields(reference),
+                            transient_fields(compiled))
+
+
+@needs_compiled
+def test_recorded_subset_and_source_power():
+    """``record_nodes`` narrows the traces (ground reads zero) and every
+    source's power is -(level(t) * i) sample by sample on both paths."""
+    circuit = word_circuit(DesignKind.DG_1T5, "step2_miss")
+    node = circuit.node_names[0]
+    sources = [e for e in circuit.elements if isinstance(e, VoltageSource)]
+    results = []
+    for backend in ("numpy", "compiled"):
+        kernels.set_backend(backend)
+        results.append(transient(word_circuit(DesignKind.DG_1T5,
+                                              "step2_miss"),
+                                 0.5e-9, record_nodes=[node, "0"],
+                                 options=TransientOptions(dt=25e-12)))
+    reference, compiled = results
+    assert_fields_identical(transient_fields(reference),
+                            transient_fields(compiled))
+    assert list(reference.voltages) == [node, "0"]
+    assert not np.any(reference.voltages["0"])
+    assert reference.voltages["0"].shape == reference.t.shape
+    assert set(reference.source_power) == {src.name for src in sources}
+    for src in sources:
+        currents = reference.branch_currents[src.name]
+        expected = [-(src.level(float(t)) * float(i))
+                    for t, i in zip(reference.t, currents)]
+        assert reference.source_power[src.name].tolist() == expected
