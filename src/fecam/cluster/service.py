@@ -9,9 +9,10 @@ excluded, the generation every worker serves under its seqlock.
 ``search_many`` scatters a plain-string burst on the caller's thread:
 the kernel runs in the workers, so the one dispatcher thread would only
 serialise parent-side work and keep one scatter in flight.  Its results
-are frozen like the dispatcher's (a copy of each match list).  Bursts
-of :class:`~fecam.store.Query` objects (per-query masks) still go
-through the dispatcher, which groups them by mask.
+are frozen like the dispatcher's (a copy of each match list), and its
+``timeout`` does not bound the scatter: the workers' ``read_timeout``
+rounds do.  Bursts of :class:`~fecam.store.Query` objects (per-query
+masks) still go through the dispatcher, which groups them by mask.
 
 A hung worker stalls writers, and every read behind a waiting writer,
 for up to ``_SEND_RETRIES + 1`` rounds x workers x (``read_timeout +
@@ -24,6 +25,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..errors import OperationError, ServiceClosed
+from ..functional.engine import check_mask
 from ..service.service import SearchService, ServedResult
 from ..store import CamStore
 from ..store.config import StoreConfig
@@ -81,11 +83,19 @@ class ClusterService(SearchService):
     def search_many(self, queries: Sequence[Union[Query, str]],
                     mask: Optional[str] = None, *,
                     timeout: Optional[float] = None) -> List[ServedResult]:
-        """Burst door: one scatter on this thread, one counted batch."""
+        """Burst door: one scatter on this thread, one counted batch.
+
+        ``timeout`` bounds only a burst of :class:`Query` objects (it
+        rides the dispatcher); a plain-string scatter is bounded by the
+        workers' ``read_timeout`` rounds instead.  A malformed mask is
+        rejected before the burst counts as submitted.
+        """
         if not queries:
             return []
         if any(type(query) is not str for query in queries):
             return super().search_many(queries, mask, timeout=timeout)
+        if mask is not None:
+            check_mask(mask, self.store.width)
         n = len(queries)
         with self._mutex:
             if self._closed:
@@ -105,8 +115,7 @@ class ClusterService(SearchService):
         with self._mutex:
             self._count_batch(n)
             self._served += n
-            for _ in range(n):
-                self._latencies.record(wall)
+            self._latencies.record_many(wall, n)
         return [ServedResult(r.freeze(), generation, wall)
                 for r in results]
 

@@ -26,8 +26,9 @@ from ..cam.ops import SearchPolicy
 from ..metrics.point import FIDELITIES
 from ..planes import CHUNK_BITS, TernaryPlanes, n_chunks_for, step_masks
 
-__all__ = ["TernaryCAM", "SearchStats", "EnergyModel", "pack_word",
-           "pack_words", "price_searches", "CHUNK_BITS", "n_chunks_for"]
+__all__ = ["TernaryCAM", "SearchStats", "EnergyModel", "check_mask",
+           "pack_word", "pack_words", "price_searches", "CHUNK_BITS",
+           "n_chunks_for"]
 
 _CHUNK = CHUNK_BITS
 
@@ -91,6 +92,14 @@ def pack_words(words: Sequence[str], width: int) -> Tuple[np.ndarray, np.ndarray
             f"position {bad_pos} of word {bad_i}; words must be "
             "canonical '01X' strings")
     return pack_bitplane(is_one, width), pack_bitplane(~is_x, width)
+
+
+def check_mask(mask: str, width: int) -> None:
+    """Validate a global-mask register value: ``width`` '0'/'1' symbols."""
+    if len(mask) != width:
+        raise TernaryValueError("mask length != array width")
+    if not isinstance(mask, str) or mask.strip("01"):
+        raise TernaryValueError("mask must contain only '0'/'1' symbols")
 
 
 def pack_word(word: str, width: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -366,11 +375,7 @@ class TernaryCAM:
 
     def pack_mask(self, mask: str) -> np.ndarray:
         """Pack a global-mask register value ('1' = compare, '0' = skip)."""
-        if len(mask) != self.width:
-            raise TernaryValueError("mask length != array width")
-        if any(symbol not in "01" for symbol in mask):
-            raise TernaryValueError(
-                "mask must contain only '0'/'1' symbols")
+        check_mask(mask, self.width)
         mask_bits, _ = pack_word(mask, self.width)
         return mask_bits
 

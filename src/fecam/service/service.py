@@ -5,8 +5,17 @@ the fused arena kernel only pays off when many queries arrive in one
 ``search_batch`` call.  The service closes that gap for concurrent
 callers: requests enqueue onto a bounded queue, a dispatcher thread
 drains it every ``max_wait`` seconds (or as soon as ``max_batch``
-requests are waiting) and issues **one** fused batch search for the
-whole drain — many small independent requests ride one kernel pass.
+queries are waiting) and issues **one** fused batch search per mask
+for the whole drain — many small independent requests ride one kernel
+pass.
+
+A queue item is a run of queries sharing one mask: a ``submit`` is one
+single-query item, a ``search_many`` burst of plain strings is ONE item
+(validated by one vectorised pass, queued under one mutex hold,
+resolved by one future).  The drain takes whole items up to
+``max_batch`` queries and splits the item that straddles the boundary,
+so dispatches are composed exactly as if every query were queued on
+its own; ``max_queue`` and the queue-depth stats count queries.
 
 Consistency is snapshot isolation by construction:
 
@@ -45,15 +54,16 @@ import asyncio
 import threading
 import time
 
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Hashable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, List,
+                    Optional, Sequence, Tuple, Union)
 
 from ..analysis.sanitize import maybe_sanitize_service
 from ..errors import OperationError, ServiceClosed, ServiceOverloaded
 from ..fabric.batch import normalize_queries
+from ..functional.engine import check_mask
 from ..obs.trace import Span, Trace, activated
 from ..store import CamStore
 from ..store.result import Match, Query, QueryResult
@@ -97,42 +107,52 @@ class ServedResult:
 
 
 class _Burst:
-    """One blocking ``search_many`` call: N requests, ONE shared future.
+    """One ``search_many`` call: its queue items share ONE future.
 
     The future-per-request protocol costs a few microseconds per
     request (Future construction, per-future condition locks on
-    set_result and result()); a burst collapses all of it to a single
-    future resolving to the ordered result list.  ``results``/
-    ``remaining``/``error`` are only mutated under the service mutex —
-    the dispatcher's completion sweep and close()'s rejection path can
-    touch members of the same burst concurrently.
+    set_result and result()); a burst pays it once.  Each of its items
+    fills its slice of ``results`` and drops ``remaining`` (the items
+    still out, including tails split off at a ``max_batch`` boundary);
+    the last one resolves the future, with the first dispatch error if
+    any item failed.  ``results``/``remaining``/``error`` are only
+    mutated under the service mutex — the dispatcher's drain and
+    completion and close()'s rejection path can touch items of the same
+    burst concurrently.
     """
 
     __slots__ = ("future", "results", "remaining", "error")
 
-    def __init__(self, future: "Future", n: int):
+    def __init__(self, future: "Future", n: int, items: int):
         self.future = future
         self.results: List[Optional[ServedResult]] = [None] * n
-        self.remaining = n
+        self.remaining = items
         self.error: Optional[BaseException] = None
 
 
 class _Pending:
-    """One enqueued request (slotted: the queue churns at request rate)."""
+    """One queue item: a run of validated queries sharing one mask.
 
-    __slots__ = ("bits", "mask", "future", "enqueued_at", "trace",
-                 "burst", "slot")
+    A burst item's results land at ``burst.results[slot:slot +
+    len(bits)]``; an item without a burst is one query with its own
+    ``future``.  ``traces`` is aligned with ``bits``, or ``None`` when
+    no member was sampled.
+    """
 
-    def __init__(self, bits: str, mask: Optional[str], future: "Future",
-                 enqueued_at: float, trace: Optional[Trace] = None,
-                 burst: "Optional[_Burst]" = None, slot: int = 0):
+    __slots__ = ("bits", "mask", "future", "enqueued_at", "burst",
+                 "slot", "traces")
+
+    def __init__(self, bits: List[str], mask: Optional[str],
+                 future: "Future", enqueued_at: float,
+                 burst: "Optional[_Burst]" = None, slot: int = 0,
+                 traces: "Optional[List[Optional[Trace]]]" = None):
         self.bits = bits
         self.mask = mask
         self.future = future
         self.enqueued_at = enqueued_at
-        self.trace = trace
         self.burst = burst
         self.slot = slot
+        self.traces = traces
 
 
 class SearchService:
@@ -146,7 +166,7 @@ class SearchService:
         :meth:`write` (or the ``insert``/``delete``/``update``
         wrappers), which take the writer lock.
     max_batch:
-        Most requests one dispatch drains (the fused-kernel batch size).
+        Most queries one dispatch drains (the fused-kernel batch size).
     max_wait:
         Longest a request waits for co-riders before dispatching anyway
         (seconds).  The default ``0`` is *natural batching*: the
@@ -156,8 +176,10 @@ class SearchService:
         load.  A positive window trades per-request latency for larger
         fused batches (useful when callers pipeline bursts).
     max_queue:
-        Bound of the request queue; submissions past it raise
-        :class:`ServiceOverloaded`.
+        Most queries waiting in the queue, however they were submitted
+        (a ``search_many`` burst counts each of its queries); a
+        submission that would pass it raises
+        :class:`ServiceOverloaded`, all of a burst or none of it.
     start:
         Start the dispatcher thread immediately (default).  Pass
         ``False`` to enqueue deterministically first — tests do this to
@@ -202,6 +224,7 @@ class SearchService:
         self._mutex = threading.Lock()
         self._wakeup = threading.Condition(self._mutex)
         self._queue: "deque[_Pending]" = deque()
+        self._depth = 0     # queries in _queue (items hold runs)
         self._thread: Optional[threading.Thread] = None
         self._closed = False
         self._submitted = 0
@@ -280,15 +303,14 @@ class SearchService:
             if not drain:
                 rejected = list(self._queue)
                 self._queue.clear()
+                self._depth = 0
             self._wakeup.notify_all()
             thread = self._thread
-        for pending in rejected:
+        for item in rejected:
             error = ServiceClosed("service closed before "
                                   "this request dispatched")
-            if pending.trace is not None:
-                pending.trace.root.attrs["error"] = repr(error)
-                self._obs.tracer.finish(pending.trace)
-            self._complete_error(pending, error)
+            self._fail_traces(item, error)
+            self._complete_error(item, error)
         if thread is not None:
             thread.join(timeout)
             return not thread.is_alive()
@@ -331,56 +353,51 @@ class SearchService:
                 and own_mask != mask:
             raise OperationError(
                 "the query's own mask conflicts with the mask argument")
-        return bits, (own_mask if own_mask is not None else mask)
+        effective = own_mask if own_mask is not None else mask
+        if effective is not None:
+            check_mask(effective, self.store.width)
+        return bits, effective
+
+    def _sample(self, bits: List[str], mask: Optional[str],
+                enqueued_at: float) -> "Optional[List[Optional[Trace]]]":
+        """One trace per sampled member of a run, or ``None`` if none.
+
+        Gated on the tracer, not just on obs: metrics-only observability
+        must not pay the sampling call per request.  Each root span
+        starts at enqueue, on the same clock as the latency accounting,
+        so stage durations sum to the e2e latency the caller observes.
+        """
+        tracer = self._tracer
+        if tracer is None:
+            return None
+        traces = [tracer.begin(enqueued_at, bits=member, mask=mask)
+                  if tracer.sampler() else None for member in bits]
+        return traces if any(t is not None for t in traces) else None
+
+    def _fail_traces(self, item: _Pending, error: BaseException,
+                     at: Optional[float] = None) -> None:
+        """Finish an item's sampled traces with ``error`` — a request
+        rejected before or failed in dispatch still emits its trace, so
+        sampled == finished holds for the tracer's counters."""
+        for trace in item.traces or ():
+            if trace is not None:
+                trace.root.attrs["error"] = repr(error)
+                self._obs.tracer.finish(trace, at)
 
     def submit(self, query: Union[Query, str],
                mask: Optional[str] = None) -> "Future[ServedResult]":
         """Enqueue one request; returns a future of :class:`ServedResult`.
 
-        Validation happens here, at the front door, so a malformed query
-        fails its own future's caller immediately instead of poisoning
-        the batch it would have ridden.
+        Validation (query and mask) happens here, at the front door, so
+        a malformed request fails its own caller immediately instead of
+        poisoning the batch it would have ridden.
         """
         bits, effective_mask = self._prepare(query, mask)
         future: "Future[ServedResult]" = Future()
         enqueued_at = time.perf_counter()
-        trace = None
-        tracer = self._tracer
-        if tracer is not None and tracer.sampler():
-            # The root span starts at enqueue, on the same clock as the
-            # latency accounting, so stage durations sum to the e2e
-            # latency the caller observes.  Gated on the tracer, not
-            # just on obs: metrics-only observability must not pay the
-            # sampling call per request — and the sampler is invoked
-            # inline so an unsampled request pays one call, not two,
-            # and builds no attrs dict.
-            trace = tracer.begin(enqueued_at)
-            trace.root.attrs["bits"] = bits
-            trace.root.attrs["mask"] = effective_mask
-        pending = _Pending(bits, effective_mask, future, enqueued_at,
-                           trace)
-        try:
-            with self._mutex:
-                if self._closed:
-                    raise ServiceClosed("service is closed")
-                if len(self._queue) >= self.max_queue:
-                    self._overloads += 1
-                    raise ServiceOverloaded(
-                        f"request queue is full "
-                        f"({self.max_queue} pending)")
-                self._queue.append(pending)
-                self._submitted += 1
-                depth = len(self._queue)
-                if depth > self._max_queue_depth:
-                    self._max_queue_depth = depth
-                self._wakeup.notify_all()
-        except (ServiceClosed, ServiceOverloaded) as exc:
-            if trace is not None:
-                # Rejected before dispatch: still emit the trace so
-                # sampled == finished holds for the tracer's counters.
-                trace.root.attrs["error"] = repr(exc)
-                self._obs.tracer.finish(trace)
-            raise
+        self._enqueue([_Pending(
+            [bits], effective_mask, future, enqueued_at,
+            traces=self._sample([bits], effective_mask, enqueued_at))], 1)
         return future
 
     def submit_many(self, queries: Sequence[Union[Query, str]],
@@ -388,78 +405,81 @@ class SearchService:
                     ) -> "List[Future[ServedResult]]":
         """Enqueue a burst; per-request futures, same order.
 
-        The bulk front door: the whole burst is validated up front,
-        then enqueued under a single mutex hold with one dispatcher
-        wakeup, so a burst costs a fraction of ``len(queries)``
-        individual :meth:`submit` calls.  Validation and backpressure
-        are all-or-nothing — a malformed query, or a burst that does
-        not fit under ``max_queue``, rejects the burst before any of
-        it enqueues.
-        """
-        pendings = self._build_burst(queries, mask, shared_future=None)
-        self._enqueue(pendings)
-        return [pending.future for pending in pendings]
-
-    def _build_burst(self, queries: Sequence[Union[Query, str]],
-                     mask: Optional[str], *,
-                     shared_future: "Optional[Future]"
-                     ) -> List[_Pending]:
-        """Validate a burst and wrap it in pendings, not yet enqueued.
-
-        With ``shared_future`` the whole burst rides one :class:`_Burst`
-        handle; without, every pending gets its own future.
+        The whole burst is validated up front, then enqueued (one item
+        per request, each with its own future) under a single mutex hold
+        with one dispatcher wakeup.  Validation and backpressure are
+        all-or-nothing — a malformed query or mask, or a burst that does
+        not fit under ``max_queue``, rejects the burst before any of it
+        enqueues.
         """
         prepared = [self._prepare(query, mask) for query in queries]
         enqueued_at = time.perf_counter()
-        tracer = self._tracer
-        burst = (None if shared_future is None
-                 else _Burst(shared_future, len(prepared)))
-        pendings: List[_Pending] = []
-        for slot, (bits, effective_mask) in enumerate(prepared):
-            trace = None
-            if tracer is not None and tracer.sampler():
-                trace = tracer.begin(enqueued_at)
-                trace.root.attrs["bits"] = bits
-                trace.root.attrs["mask"] = effective_mask
-            future = shared_future if shared_future is not None else Future()
-            pendings.append(_Pending(bits, effective_mask, future,
-                                     enqueued_at, trace, burst, slot))
-        return pendings
+        items = [_Pending([bits], run_mask, Future(), enqueued_at,
+                          traces=self._sample([bits], run_mask, enqueued_at))
+                 for bits, run_mask in prepared]
+        self._enqueue(items, len(items))
+        return [item.future for item in items]
 
     def _submit_burst(self, queries: Sequence[Union[Query, str]],
                       mask: Optional[str]) -> "Future[List[ServedResult]]":
         """Validate and enqueue a burst on ONE shared future (see
-        :class:`_Burst`), all-or-nothing like :meth:`submit_many`."""
+        :class:`_Burst`), all-or-nothing like :meth:`submit_many`.
+
+        Plain strings are one item, validated by one vectorised
+        :func:`normalize_queries` pass; a burst holding :class:`Query`
+        objects validates each member and is cut into one item per run
+        of equal effective masks.
+        """
+        width = self.store.width
+        runs: List[Tuple[List[str], Optional[str]]] = []
+        if all(type(query) is str for query in queries):
+            if mask is not None:
+                check_mask(mask, width)
+            runs.append((normalize_queries(queries, width), mask))
+        else:
+            for query in queries:
+                bits, effective_mask = self._prepare(query, mask)
+                if runs and runs[-1][1] == effective_mask:
+                    runs[-1][0].append(bits)
+                else:
+                    runs.append(([bits], effective_mask))
         shared: "Future[List[ServedResult]]" = Future()
-        self._enqueue(self._build_burst(queries, mask, shared_future=shared))
+        enqueued_at = time.perf_counter()
+        burst = _Burst(shared, len(queries), len(runs))
+        items, slot = [], 0
+        for bits, run_mask in runs:
+            items.append(_Pending(bits, run_mask, shared, enqueued_at, burst,
+                                  slot, self._sample(bits, run_mask,
+                                                     enqueued_at)))
+            slot += len(bits)
+        self._enqueue(items, len(queries))
         return shared
 
-    def _enqueue(self, pendings: List[_Pending]) -> None:
-        """Admit a validated burst under one mutex hold, one wakeup.
+    def _enqueue(self, items: List[_Pending], n: int) -> None:
+        """Admit validated items holding ``n`` queries under one mutex
+        hold, one wakeup.
 
-        All-or-nothing backpressure: a burst that does not fit under
-        ``max_queue`` raises without enqueueing any of it.
+        All-or-nothing backpressure: items that do not fit under
+        ``max_queue`` queries raise without enqueueing any of them.
         """
         try:
             with self._mutex:
                 if self._closed:
                     raise ServiceClosed("service is closed")
-                if len(self._queue) + len(pendings) > self.max_queue:
+                if self._depth + n > self.max_queue:
                     self._overloads += 1
                     raise ServiceOverloaded(
-                        f"burst of {len(pendings)} does not fit in the "
-                        f"request queue ({self.max_queue} pending max)")
-                self._queue.extend(pendings)
-                self._submitted += len(pendings)
-                depth = len(self._queue)
-                if depth > self._max_queue_depth:
-                    self._max_queue_depth = depth
+                        f"{n} request(s) do not fit in the request queue "
+                        f"({self._depth} of {self.max_queue} pending)")
+                self._queue.extend(items)
+                self._submitted += n
+                self._depth += n
+                if self._depth > self._max_queue_depth:
+                    self._max_queue_depth = self._depth
                 self._wakeup.notify_all()
         except (ServiceClosed, ServiceOverloaded) as exc:
-            for pending in pendings:
-                if pending.trace is not None:
-                    pending.trace.root.attrs["error"] = repr(exc)
-                    self._obs.tracer.finish(pending.trace)
+            for item in items:
+                self._fail_traces(item, exc)
             raise
 
     def search(self, query: Union[Query, str],
@@ -473,14 +493,13 @@ class SearchService:
                     timeout: Optional[float] = None) -> List[ServedResult]:
         """Blocking burst: submit all, then wait for all, in order.
 
-        The burst shares ONE internal future (see :class:`_Burst`):
-        the caller blocks once and the dispatcher resolves once, so a
-        large burst skips the per-request Future construction,
-        ``set_result`` and ``result()`` lock traffic that
-        :meth:`submit_many` pays.  Requests still coalesce into fused
-        batches individually; the future resolves when the last member
-        is served, with the burst's first dispatch error if any member
-        failed.
+        A burst of plain strings is ONE queue item on ONE future (see
+        :class:`_Burst`): validated in one vectorised pass, queued under
+        one mutex hold, resolved once.  Its queries still coalesce with
+        other requests into fused batches — a drain that fills up at
+        ``max_batch`` queries splits the item and serves the rest next.
+        The future resolves when the last of the burst is served, with
+        the burst's first dispatch error if any of it failed.
         """
         if not queries:
             return []
@@ -564,12 +583,14 @@ class SearchService:
     # -- dispatcher --------------------------------------------------------------
 
     def _next_batch(self) -> Optional[List[_Pending]]:
-        """Block until work or shutdown; drain up to ``max_batch``.
+        """Block until work or shutdown; drain up to ``max_batch`` queries.
 
         The coalescing window: after the first request arrives, keep
         waiting (up to ``max_wait``) for co-riders unless the batch is
         already full or the service is closing — a closing service
-        drains at full speed.
+        drains at full speed.  Whole items are taken in queue order; the
+        item straddling ``max_batch`` is split, its head served now and
+        its tail left first in line as one more item of its burst.
         """
         with self._mutex:
             while not self._queue and not self._closed:
@@ -579,16 +600,33 @@ class SearchService:
             if self._obs is not None:
                 self._drain_wake = time.perf_counter()
             if self.max_wait > 0 and not self._closed \
-                    and len(self._queue) < self.max_batch:
+                    and self._depth < self.max_batch:
                 deadline = time.monotonic() + self.max_wait
-                while len(self._queue) < self.max_batch \
+                while self._depth < self.max_batch \
                         and not self._closed:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
                     self._wakeup.wait(remaining)
-            n = min(self.max_batch, len(self._queue))
-            batch = [self._queue.popleft() for _ in range(n)]
+            batch: List[_Pending] = []
+            room = self.max_batch
+            while room and self._queue:
+                item = self._queue[0]
+                burst = item.burst  # None: one query, which always fits
+                if len(item.bits) <= room or burst is None:
+                    batch.append(self._queue.popleft())
+                    room -= len(item.bits)
+                    continue
+                batch.append(_Pending(
+                    item.bits[:room], item.mask, item.future,
+                    item.enqueued_at, burst, item.slot,
+                    item.traces and item.traces[:room]))
+                item.bits = item.bits[room:]
+                item.traces = item.traces and item.traces[room:]
+                item.slot += room
+                burst.remaining += 1
+                room = 0
+            self._depth -= self.max_batch - room
             if self._obs is not None:
                 self._drain_end = time.perf_counter()
             return batch
@@ -603,18 +641,19 @@ class SearchService:
     def _serve(self, batch: List[_Pending]) -> None:
         """One dispatch: search the whole drain under the read lock.
 
-        Requests sharing a mask fuse into one ``search_batch`` call; a
+        Items sharing a mask fuse into one ``search_batch`` call; a
         drain mixing masks issues one call per mask group (the kernel
         applies a single mask per batch), all inside one read-lock hold
         so every result of the dispatch reports the same generation.
+        Results are then sliced back per item: one comprehension of
+        :class:`ServedResult` per item, all with the item's latency.
         """
         obs = self._obs
-        traced = ([pending for pending in batch
-                   if pending.trace is not None]
-                  if obs is not None and obs.tracer is not None else [])
-        groups: "OrderedDict[Optional[str], List[_Pending]]" = OrderedDict()
-        for pending in batch:
-            groups.setdefault(pending.mask, []).append(pending)
+        traced = [(item.enqueued_at, trace) for item in batch
+                  for trace in item.traces or () if trace is not None]
+        groups: Dict[Optional[str], List[_Pending]] = {}
+        for item in batch:
+            groups.setdefault(item.mask, []).append(item)
         outcomes: List[Tuple[List[_Pending], Optional[BaseException],
                              Optional[List[QueryResult]]]] = []
         with self._rw.read_locked():
@@ -625,42 +664,38 @@ class SearchService:
                 # Requests that arrived mid-window clamp to their own
                 # enqueue time.
                 t_locked = time.perf_counter()
-                for pending in traced:
-                    wake = max(pending.enqueued_at, self._drain_wake)
+                for enqueued_at, trace in traced:
+                    wake = max(enqueued_at, self._drain_wake)
                     popped = max(wake, self._drain_end)
-                    pending.trace.record("queue", pending.enqueued_at,
-                                         wake)
-                    pending.trace.record("coalesce", wake, popped)
-                    pending.trace.record("lock_wait", popped, t_locked)
+                    trace.record("queue", enqueued_at, wake)
+                    trace.record("coalesce", wake, popped)
+                    trace.record("lock_wait", popped, t_locked)
             generation = self.store.generation
-            for mask, group in groups.items():
+            for mask, items in groups.items():
+                bits = (items[0].bits if len(items) == 1
+                        else [b for item in items for b in item.bits])
                 # Each sampled request gets a "kernel" span covering its
                 # group's fused store call; the store and arena kernel
                 # nest their own stage spans under it via activated().
-                kernel_spans: List[Tuple[Trace, Span]] = []
-                if traced:
-                    for pending in group:
-                        if pending.trace is not None:
-                            span = pending.trace.open(
-                                "kernel", queries=len(group))
-                            kernel_spans.append((pending.trace, span))
+                kernel_spans: List[Tuple[Trace, Span]] = [
+                    (trace, trace.open("kernel", queries=len(bits)))
+                    for item in items for trace in item.traces or ()
+                    if trace is not None]
                 try:
                     if kernel_spans:
                         with activated([(trace, span.span_id)
                                         for trace, span in kernel_spans]):
                             results = self.store.search_batch(
-                                [pending.bits for pending in group],
-                                mask=mask, use_cache=self.use_cache)
+                                bits, mask=mask, use_cache=self.use_cache)
                     else:
                         results = self.store.search_batch(
-                            [pending.bits for pending in group], mask=mask,
-                            use_cache=self.use_cache)
+                            bits, mask=mask, use_cache=self.use_cache)
                 except Exception as exc:  # fail the group, keep serving
                     if kernel_spans:
                         now = time.perf_counter()
                         for _trace, span in kernel_spans:
                             span.close(now)
-                    outcomes.append((group, exc, None))
+                    outcomes.append((items, exc, None))
                 else:
                     kernel_done = time.perf_counter()
                     for _trace, span in kernel_spans:
@@ -676,61 +711,48 @@ class SearchService:
                         for trace, _span in kernel_spans:
                             trace.record("freeze", kernel_done,
                                          freeze_done)
-                    outcomes.append((group, None, frozen))
+                    outcomes.append((items, None, frozen))
         completed_at = time.perf_counter()
-        size = len(batch)
+        size = sum(len(item.bits) for item in batch)
         with self._mutex:
             self._count_batch(size)
         slow_log = obs.slow_log if obs is not None else None
-        # Hoist the threshold so the per-request slow check is one
-        # float compare; record() (kwargs build, JSON dump) only runs
-        # for actual offenders.
+        # Hoist the threshold so the slow check is one float compare
+        # per item (its members share one latency); record() (kwargs
+        # build, JSON dump) only runs for actual offenders.
         slow_threshold = (slow_log.threshold_s if slow_log is not None
                           else None)
-        # Per-request obs work (trace finishing, the slow-query check)
-        # only runs when something per-request is actually configured:
-        # metrics-only serving takes the same completion path as
-        # obs-off and folds its latencies in one batch-level sweep.
-        per_request_obs = bool(traced) or slow_threshold is not None
-        deliveries: List[Tuple[_Pending, ServedResult]] = []
-        for group, error, results in outcomes:
+        deliveries: List[Tuple[_Pending, List[ServedResult], float]] = []
+        for items, error, results in outcomes:
             if error is not None:
-                for pending in group:
-                    if pending.trace is not None:
-                        pending.trace.root.attrs["error"] = repr(error)
-                        obs.tracer.finish(pending.trace, completed_at)
-                    self._complete_error(pending, error)
+                for item in items:
+                    self._fail_traces(item, error, completed_at)
+                    self._complete_error(item, error)
                 continue
-            if per_request_obs:
-                for pending, result in zip(group, results):
-                    latency = completed_at - pending.enqueued_at
-                    if pending.trace is not None:
-                        pending.trace.root.attrs.update(
+            start = 0
+            for item in items:
+                chunk = results[start:start + len(item.bits)]
+                start += len(item.bits)
+                latency = completed_at - item.enqueued_at
+                for trace, result in zip(item.traces or (), chunk):
+                    if trace is not None:
+                        trace.root.attrs.update(
                             generation=generation, batch_size=size,
                             matches=len(result.matches))
-                        obs.tracer.finish(pending.trace, completed_at)
-                    if (slow_threshold is not None
-                            and latency >= slow_threshold):
+                        obs.tracer.finish(trace, completed_at)
+                if slow_threshold is not None and latency >= slow_threshold:
+                    for bits, result in zip(item.bits, chunk):
                         slow_log.record(
-                            bits=pending.bits, mask=pending.mask,
-                            latency=latency, generation=generation,
-                            batch_size=size, matches=len(result.matches))
-                    deliveries.append((pending, ServedResult(
-                        result=result, generation=generation,
-                        latency=latency)))
-            else:
-                for pending, result in zip(group, results):
-                    deliveries.append((pending, ServedResult(
-                        result=result, generation=generation,
-                        latency=completed_at - pending.enqueued_at)))
+                            bits=bits, mask=item.mask, latency=latency,
+                            generation=generation, batch_size=size,
+                            matches=len(result.matches))
+                deliveries.append((item, [ServedResult(r, generation, latency)
+                                          for r in chunk], latency))
         self._complete_batch(deliveries)
         if obs is not None:
-            # One histogram lock acquisition for the whole drain; the
-            # listcomp re-derives latencies C-side rather than taxing
-            # the completion loop with per-request appends.
-            latencies = [completed_at - pending.enqueued_at
-                         for group, error, _results in outcomes
-                         if error is None for pending in group]
+            # One histogram lock acquisition for the whole drain.
+            latencies = [latency for _item, served, latency in deliveries
+                         for _ in served]
             if latencies:
                 obs.record_latencies(latencies)
 
@@ -744,38 +766,37 @@ class SearchService:
             self._direct += 1
 
     def _complete_batch(
-            self, deliveries: "List[Tuple[_Pending, ServedResult]]"
+            self,
+            deliveries: "List[Tuple[_Pending, List[ServedResult], float]]"
     ) -> None:
         """Deliver one drain's results with a single counter-mutex hold.
 
         Counting happens before any future resolves: a caller reading
         stats right after its result arrives must see itself served.
-        Burst members fill their slot and only the last one resolves
-        the shared future; burst bookkeeping stays under the mutex
-        because close()'s rejection path may race the dispatcher on
-        siblings of the same burst.
+        A burst item fills its slice of the burst's results in one slice
+        assignment, and the burst's last item resolves the shared
+        future; burst bookkeeping stays under the mutex because close()'s
+        rejection path may race the dispatcher on items of the same
+        burst.
         """
         singles: "List[Tuple[Future[ServedResult], ServedResult]]" = []
         resolved: List[_Burst] = []
         with self._mutex:
-            served = 0
-            record = self._latencies.record
-            for pending, result in deliveries:
-                burst = pending.burst
+            for item, served, latency in deliveries:
+                burst = item.burst
                 if burst is None:
                     # Cancelled-while-queued futures drop out here;
                     # nothing to deliver, nothing to count.
-                    if not pending.future.set_running_or_notify_cancel():
+                    if not item.future.set_running_or_notify_cancel():
                         continue
-                    singles.append((pending.future, result))
+                    singles.append((item.future, served[0]))
                 else:
-                    burst.results[pending.slot] = result
+                    burst.results[item.slot:item.slot + len(served)] = served
                     burst.remaining -= 1
                     if burst.remaining == 0:
                         resolved.append(burst)
-                served += 1
-                record(result.latency)
-            self._served += served
+                self._served += len(served)
+                self._latencies.record_many(latency, len(served))
         for future, result in singles:
             future.set_result(result)
         for burst in resolved:
@@ -787,18 +808,18 @@ class SearchService:
             except InvalidStateError:
                 pass  # the burst caller cancelled; results are dropped
 
-    def _complete_error(self, pending: _Pending,
+    def _complete_error(self, item: _Pending,
                         error: BaseException) -> None:
-        burst = pending.burst
+        burst = item.burst
         if burst is None:
-            if not pending.future.set_running_or_notify_cancel():
+            if not item.future.set_running_or_notify_cancel():
                 return
             with self._mutex:
                 self._failed += 1
-            pending.future.set_exception(error)
+            item.future.set_exception(error)
             return
         with self._mutex:
-            self._failed += 1
+            self._failed += len(item.bits)
             if burst.error is None:
                 burst.error = error
             burst.remaining -= 1
@@ -833,7 +854,7 @@ class SearchService:
             counters = dict(
                 submitted=self._submitted, served=self._served,
                 failed=self._failed, overloads=self._overloads,
-                queue_depth=len(self._queue),
+                queue_depth=self._depth,
                 max_queue_depth=self._max_queue_depth,
                 batches=self._batches,
                 batch_size_hist=dict(self._batch_sizes),

@@ -10,6 +10,7 @@ over the whole process lifetime.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from collections import deque
@@ -32,6 +33,10 @@ class LatencyReservoir:
 
     def record(self, latency: float) -> None:
         self._window.append(latency)
+
+    def record_many(self, latency: float, count: int) -> None:
+        """Record ``count`` requests that shared one ``latency``."""
+        self._window.extend(itertools.repeat(latency, count))
 
     def __len__(self) -> int:
         return len(self._window)
@@ -69,8 +74,8 @@ class ServiceStats:
     served: int             # futures completed with a result
     failed: int             # futures completed with an exception
     overloads: int          # submissions rejected by backpressure
-    queue_depth: int        # requests waiting right now
-    max_queue_depth: int    # high-water mark of the bounded queue
+    queue_depth: int        # queries waiting right now
+    max_queue_depth: int    # high-water mark of queue_depth
     batches: int            # dispatches issued to the store
     batch_size_hist: Dict[int, int] = field(default_factory=dict)
     coalesced: int = 0      # requests served in a batch of size > 1

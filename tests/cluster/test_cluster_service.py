@@ -98,6 +98,14 @@ class TestServingParity:
         service.insert(WORDS[0], key="a")  # the pool still serves
         assert service.search(PROBES[0]).match_keys == ["a"]
 
+    def test_bad_burst_mask_is_rejected_before_it_counts(self, service):
+        for bad, message in (("10", "mask length"),
+                             ("1111000Z0000", "only '0'/'1' symbols")):
+            with pytest.raises(TernaryValueError, match=message):
+                service.search_many(PROBES[:2], mask=bad)
+        assert service.stats.submitted == 0
+        assert service.stats.failed == 0
+
     def test_submit_returns_future(self, service):
         service.insert(WORDS[0], key="a")
         futures = [service.submit(PROBES[0]) for _ in range(8)]

@@ -138,6 +138,17 @@ class TestLatencyReservoir:
         assert len(reservoir) == 4
         assert reservoir.snapshot() == (6.0, 7.0, 8.0, 9.0)
 
+    def test_record_many_keeps_the_last_capacity_samples(self):
+        reservoir = LatencyReservoir(capacity=4)
+        reservoir.record_many(1.0, 3)
+        assert reservoir.snapshot() == (1.0, 1.0, 1.0)
+        reservoir.record_many(2.0, 2)
+        assert reservoir.snapshot() == (1.0, 1.0, 2.0, 2.0)
+        reservoir.record_many(3.0, 10)
+        assert reservoir.snapshot() == (3.0,) * 4
+        reservoir.record_many(4.0, 0)
+        assert reservoir.snapshot() == (3.0,) * 4
+
 
 class TestServiceBasics:
     def test_validation(self):
@@ -284,7 +295,17 @@ class TestBackpressureAndShutdown:
         store.insert("1111XXXX", key="k")
         service = SearchService(store, start=False, max_batch=16)
         good = service.submit("11111111")
-        bad = service.submit("11111111", mask="1111")  # wrong mask width
+        bad = service.submit("11111111", mask="11110000")
+        search_batch = store.search_batch
+
+        def fail_masked(queries, mask=None, **kwargs):
+            # A bad mask is rejected at submit now, so the masked
+            # group's dispatch error is injected.
+            if mask is not None:
+                raise OperationError("injected masked-group failure")
+            return search_batch(queries, mask=mask, **kwargs)
+
+        store.search_batch = fail_masked
         service.close()
         assert good.result().match_keys == ["k"]
         with pytest.raises(Exception):
