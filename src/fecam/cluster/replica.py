@@ -71,9 +71,7 @@ class Replica:
 
     def _bust(self) -> None:
         """Discard anything cached during a torn window."""
-        planes = self.fabric.arena
-        planes._derived = None
-        planes._index = None
+        self.fabric.arena.forget()
         self._meta_generation = -1
 
     # -- serving -----------------------------------------------------------------

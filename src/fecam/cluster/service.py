@@ -25,6 +25,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..errors import OperationError, ServiceClosed
+from ..fabric.batch import normalize_queries
 from ..functional.engine import check_mask
 from ..service.service import SearchService, ServedResult
 from ..store import CamStore
@@ -88,7 +89,8 @@ class ClusterService(SearchService):
         ``timeout`` bounds only a burst of :class:`Query` objects (it
         rides the dispatcher); a plain-string scatter is bounded by the
         workers' ``read_timeout`` rounds instead.  A malformed mask is
-        rejected before the burst counts as submitted.
+        rejected before the burst counts as submitted, and so is a
+        malformed query.
         """
         if not queries:
             return []
@@ -96,6 +98,7 @@ class ClusterService(SearchService):
             return super().search_many(queries, mask, timeout=timeout)
         if mask is not None:
             check_mask(mask, self.store.width)
+        queries = normalize_queries(queries, self.store.width)
         n = len(queries)
         with self._mutex:
             if self._closed:

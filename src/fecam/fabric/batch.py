@@ -24,10 +24,10 @@ recompresses anything between batches):
     exactly.  For typical care densities this touches a few percent of
     the Q x M pairs and never materializes a dense decision matrix.
   - ``"dense"`` — blockwise broadcasted compare over every (query,
-    row) pair; the fallback for masked searches (the global masking
-    register changes the planes per search, so nothing memoizes),
-    index-defeating content (wildcard-heavy low bytes), and tiny
-    batches that would not amortize an index build.
+    row) pair; the fallback for index-defeating content
+    (wildcard-heavy low bytes) and tiny batches that would not
+    amortize an index build.  A masked search takes the index too:
+    the global masking register gets its own memo slot.
 
 * **Step 2 (odd positions)** is only evaluated for pairs that survive
   step 1 — typically a vanishing fraction, the same statistic behind
@@ -55,7 +55,7 @@ from ..errors import TernaryValueError
 from ..cam.states import normalize_query
 from ..functional.engine import TernaryCAM, pack_bitplane
 from ..planes import (DerivedPlanes, Step1Index, TernaryPlanes,
-                      build_step1_index, compress_even, masked_derived)
+                      build_step1_index, compress_even)
 
 __all__ = ["normalize_queries", "pack_queries", "batch_count_matches",
            "fused_count_matches", "BankBatchCounts", "FusedBatchCounts"]
@@ -214,26 +214,22 @@ def fused_count_matches(planes: TernaryPlanes, q_values: np.ndarray,
     elif kernel == "auto":
         compiled = _kernels.active_kernel()
 
-    # Derived planes: memoized on the arena's write generation for the
-    # unmasked path, ad hoc for masked searches and cache-free runs.
-    # Both backends use the step-1 candidate index when it exists: the
-    # compiled kernel has a sparse variant mirroring the NumPy "table"
-    # strategy.
+    # Derived planes and the step-1 candidate index: memoized on the
+    # arena's write generation (and mask — a repeated mask reuses its
+    # slot), rebuilt from scratch for cache-free runs.  Both backends
+    # use the index when it exists: the compiled kernel has a sparse
+    # variant mirroring the NumPy "table" strategy.
     index: Optional[Step1Index] = None
-    if mask_bits is not None:
-        derived = masked_derived(planes, mask_bits)
-    elif reuse_cache:
-        derived = planes.derived()
+    if reuse_cache:
+        derived = planes.derived(mask_bits)
         if kernel != "dense":
             index = planes.step1_index(
-                build=(kernel in ("table", "compiled")
-                       or n_queries >= TABLE_MIN_QUERIES))
+                mask_bits, build=(kernel in ("table", "compiled")
+                                  or n_queries >= TABLE_MIN_QUERIES))
     else:
-        derived = planes.build_derived()
+        derived = planes.build_derived(mask_bits)
         if kernel == "table":
             index = build_step1_index(derived)
-    if kernel == "dense":
-        index = None
 
     n_rows = derived.rows_searched
     if n_banks == 1:

@@ -27,6 +27,9 @@ on every call.  This module centralizes both:
     Batch search then *gathers* the few candidate rows per query
     instead of comparing every (query, row) pair densely.
 
+  Both take the global masking register: one masked slot beside the
+  unmasked memo serves a repeated mask, under the same build rule.
+
 Generation semantics: the counter advances exactly when stored content
 changes — bit-identical rewrites (single-row or bulk) and erases of
 already-empty rows leave it (and therefore every memoized plane)
@@ -57,12 +60,16 @@ _ORD_0, _ORD_1, _ORD_X = ord("0"), ord("1"), ord("X")
 
 _EVEN_BITS = np.uint64(0x5555555555555555)
 
-#: Arenas larger than this skip the step-1 candidate index (the
-#: 256 x rows build table would be excessive); dense search still works.
+#: Arenas larger than this skip the step-1 candidate index; dense
+#: search still works.
 _INDEX_MAX_ROWS = 1 << 18
 #: Candidate lists above this total size are refused outright (the
 #: index would rival the planes themselves in memory).
 _INDEX_MAX_ENTRIES = 1 << 23
+
+#: A memo slot whose index has not been asked for yet (``None`` is
+#: taken: it means the build declined).
+_UNBUILT = object()
 
 
 def n_chunks_for(width: int) -> int:
@@ -127,7 +134,7 @@ class DerivedPlanes:
     streaming kernel.
     """
 
-    generation: Optional[int]     # None for ad-hoc (masked/uncached) builds
+    generation: int               # write generation derived from
     valid_rows: np.ndarray        # (M,) intp — arena rows, ascending
     rows_searched: int            # M
     ce32: np.ndarray              # (M, C) uint32 — compressed even care
@@ -165,9 +172,9 @@ def build_step1_index(derived: DerivedPlanes) -> Optional[Step1Index]:
     """Build the candidate index for one derived generation.
 
     Returns ``None`` when the index cannot pay for itself: an empty
-    table, an arena too large for the 256 x rows build scan, or a low
-    even byte so wildcard-heavy that the candidate lists stop filtering
-    (> 50 % mean density on a large table).
+    table, an arena above the row cap, a candidate total above the
+    entry cap, or a low even byte so wildcard-heavy that the candidate
+    lists stop filtering (> 50 % mean density on a large table).
     """
     m = derived.rows_searched
     if m == 0 or m > _INDEX_MAX_ROWS:
@@ -176,20 +183,32 @@ def build_step1_index(derived: DerivedPlanes) -> Optional[Step1Index]:
     ve8 = (derived.ve32[:, 0] & np.uint32(0xFF)).astype(np.uint8)
     # A row is consistent with exactly 2^(8 - popcount(ce8)) of the 256
     # query bytes (cared bits pinned, the rest free), so the index size
-    # is known in O(rows) — the bail-outs run before any 256 x rows
-    # table is materialized.
-    cared_bits = np.unpackbits(ce8[:, None], axis=1).sum(axis=1,
-                                                         dtype=np.int64)
-    total_entries = int((np.int64(1) << (8 - cared_bits)).sum())
+    # is known in O(rows) — the bail-outs run before anything of size
+    # K (the total candidate count) is materialized.
+    sizes = np.int64(1) << (8 - np.bitwise_count(ce8))
+    total_entries = int(sizes.sum())
     mean_candidates = total_entries / 256.0
     if total_entries > _INDEX_MAX_ENTRIES \
             or (m >= 1024 and mean_candidates > 0.5 * m):
         return None
-    table = (np.arange(256, dtype=np.uint8)[:, None] & ce8[None, :]) \
-        == ve8[None, :]
-    x_idx, col_idx = np.nonzero(table)
+    # Row i's consistent bytes are ve8 | s for every subset s of its
+    # free bits: expand it sizes[i] times and deposit a per-row counter
+    # (0 .. sizes[i]-1, kept mod 256 in uint8) into the free positions,
+    # lowest counter bit into the lowest free bit.
+    rows = np.repeat(np.arange(m), sizes)
+    starts = (np.cumsum(sizes) - sizes).astype(np.uint8)
+    counter = np.resize(np.arange(256, dtype=np.uint8), total_entries) \
+        - np.repeat(starts, sizes)
+    free = np.repeat(~ce8, sizes)
+    x = np.repeat(ve8, sizes)
+    for bit in range(8):
+        take = (free >> bit) & 1
+        x |= (counter & take) << bit
+        counter >>= take
+    # A stable sort by byte keeps each list's rows ascending.
+    col_idx = rows[np.argsort(x, kind="stable")]
     indptr = np.zeros(257, dtype=np.int64)
-    np.cumsum(np.bincount(x_idx, minlength=256), out=indptr[1:])
+    np.cumsum(np.bincount(x, minlength=256), out=indptr[1:])
     return Step1Index(indptr=indptr, indices=col_idx,
                       ce0_at=derived.ce32[col_idx, 0],
                       ve0_at=derived.ve32[col_idx, 0],
@@ -224,8 +243,9 @@ class TernaryPlanes:
             self.value, self.care, self.valid = _storage
         self._parent = _parent
         self.generation = 0
-        self._derived: Optional[DerivedPlanes] = None
-        self._index: Optional[Tuple[int, Optional[Step1Index]]] = None
+        # [unmasked, masked] memo slots, each None or [generation,
+        # mask bytes or None, derived, index | None | _UNBUILT].
+        self._slots: List[Optional[list]] = [None, None]
 
     @classmethod
     def over(cls, value: np.ndarray, care: np.ndarray,
@@ -370,35 +390,78 @@ class TernaryPlanes:
 
     # -- derived planes ----------------------------------------------------------
 
-    def build_derived(self) -> DerivedPlanes:
-        """Compute a fresh (uncached) derivation of the current content."""
-        return _derive(self.value, self.care, self.valid, self.width,
-                       generation=self.generation)
+    def build_derived(self, mask_bits: Optional[np.ndarray] = None
+                      ) -> DerivedPlanes:
+        """Compute a fresh (uncached) derivation of the current content,
+        under the global masking register ``mask_bits`` if given."""
+        even, odd = step_masks(self.width)
+        valid_rows = np.nonzero(self.valid)[0]
+        v = self.value[valid_rows]
+        c = self.care[valid_rows]
+        if mask_bits is not None:
+            c = c & mask_bits[None, :]
+        vc = v & c
+        ce32 = compress_even(c & even)
+        ve32 = compress_even(vc & even)
+        co32 = compress_even((c & odd) >> np.uint64(1))
+        vo32 = compress_even((vc & odd) >> np.uint64(1))
+        return DerivedPlanes(
+            generation=self.generation, valid_rows=valid_rows,
+            rows_searched=int(valid_rows.shape[0]),
+            ce32=ce32, ve32=ve32, co32=co32, vo32=vo32,
+            ce32_cm=np.ascontiguousarray(ce32.T),
+            ve32_cm=np.ascontiguousarray(ve32.T))
 
-    def derived(self) -> DerivedPlanes:
-        """The memoized derivation; rebuilt only after a content change."""
-        cached = self._derived
-        if cached is not None and cached.generation == self.generation:
-            return cached
-        cached = self.build_derived()
-        self._derived = cached
-        return cached
+    def derived(self, mask_bits: Optional[np.ndarray] = None
+                ) -> DerivedPlanes:
+        """The memoized derivation; rebuilt only after a content change.
 
-    def step1_index(self, *, build: bool = True) -> Optional[Step1Index]:
-        """The memoized candidate index for the current generation.
+        Masked derivations (``mask_bits``, the global masking register)
+        share ONE slot beside the unmasked one, keyed by generation and
+        mask bytes: a repeated mask is derived once per generation, a
+        different mask replaces the slot.  Two alternating masks
+        therefore rebuild on every call (a cost not yet measured).
+        """
+        slot = self._slot(mask_bits)
+        assert slot is not None  # derive=True always fills the slot
+        return slot[2]
+
+    def step1_index(self, mask_bits: Optional[np.ndarray] = None, *,
+                    build: bool = True) -> Optional[Step1Index]:
+        """The memoized candidate index for the current generation,
+        kept in the same slot as :meth:`derived` under ``mask_bits``.
 
         ``build=False`` only consults the cache — kernels pass it for
         small batches where dense evaluation is cheaper than an index
         build, while still reusing an index a bigger batch left behind.
         """
-        cached = self._index
-        if cached is not None and cached[0] == self.generation:
-            return cached[1]
-        if not build:
+        slot = self._slot(mask_bits, derive=build)
+        if slot is None:
             return None
-        index = build_step1_index(self.derived())
-        self._index = (self.generation, index)
+        index = slot[3]
+        if index is _UNBUILT:
+            if not build:
+                return None
+            index = slot[3] = build_step1_index(slot[2])
         return index
+
+    def _slot(self, mask_bits: Optional[np.ndarray], derive: bool = True
+              ) -> Optional[list]:
+        """The current unmasked or masked memo slot, derived on demand
+        (``None`` if stale and ``derive`` is false)."""
+        key = None if mask_bits is None else mask_bits.tobytes()
+        slot = self._slots[key is not None]
+        if slot is None or slot[0] != self.generation or slot[1] != key:
+            if not derive:
+                return None
+            slot = [self.generation, key, self.build_derived(mask_bits),
+                    _UNBUILT]
+            self._slots[key is not None] = slot
+        return slot
+
+    def forget(self) -> None:
+        """Drop every memoized derivation and index, masked or not."""
+        self._slots = [None, None]
 
     # -- readback ----------------------------------------------------------------
 
@@ -434,34 +497,3 @@ class TernaryPlanes:
         kind = "view" if self.is_view else "arena"
         return (f"<TernaryPlanes {kind} {self.rows}x{self.width} "
                 f"occupancy={self.occupancy} gen={self.generation}>")
-
-
-def _derive(value: np.ndarray, care: np.ndarray, valid: np.ndarray,
-            width: int, *, generation: Optional[int],
-            mask_bits: Optional[np.ndarray] = None) -> DerivedPlanes:
-    """Shared derivation core (memoized and ad-hoc/masked builds)."""
-    even, odd = step_masks(width)
-    valid_rows = np.nonzero(valid)[0]
-    v = value[valid_rows]
-    c = care[valid_rows]
-    if mask_bits is not None:
-        c = c & mask_bits[None, :]
-    vc = v & c
-    ce32 = compress_even(c & even)
-    ve32 = compress_even(vc & even)
-    co32 = compress_even((c & odd) >> np.uint64(1))
-    vo32 = compress_even((vc & odd) >> np.uint64(1))
-    return DerivedPlanes(
-        generation=generation, valid_rows=valid_rows,
-        rows_searched=int(valid_rows.shape[0]),
-        ce32=ce32, ve32=ve32, co32=co32, vo32=vo32,
-        ce32_cm=np.ascontiguousarray(ce32.T),
-        ve32_cm=np.ascontiguousarray(ve32.T))
-
-
-def masked_derived(planes: TernaryPlanes,
-                   mask_bits: np.ndarray) -> DerivedPlanes:
-    """Ad-hoc derivation under a global masking register (never cached:
-    masks are per-search and would thrash a generation-keyed memo)."""
-    return _derive(planes.value, planes.care, planes.valid, planes.width,
-                   generation=None, mask_bits=mask_bits)

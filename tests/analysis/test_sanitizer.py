@@ -152,6 +152,19 @@ class TestInstrumentedPlanes:
         planes.derived()
         assert "unlocked-read" in kinds()
 
+    def test_unlocked_masked_read_reported(self):
+        lock, planes = make_guarded_planes()
+        mask = np.full(planes.n_chunks, 0x0F, dtype=np.uint64)
+        with lock.read_locked():
+            planes.derived(mask)
+            planes.step1_index(mask)
+        assert sanitize.violations() == []
+        planes.derived(mask)
+        assert kinds() == ["unlocked-read"]
+        assert ops() == ["test.planes.derived"]
+        planes.step1_index(mask)
+        assert ops()[-1] == "test.planes.step1_index"
+
     def test_read_lock_insufficient_for_write(self):
         lock, planes = make_guarded_planes()
         value, care = packed_row(planes)

@@ -106,6 +106,35 @@ class TestServingParity:
         assert service.stats.submitted == 0
         assert service.stats.failed == 0
 
+    def test_bad_burst_query_is_rejected_before_it_counts(self, service):
+        with pytest.raises(TernaryValueError):
+            service.search_many(["0101", "010100001111"])
+        with pytest.raises(TernaryValueError):
+            service.search_many(["01010000111X"], mask="111111110000")
+        assert service.stats.submitted == 0
+        assert service.stats.failed == 0
+
+    def test_repeated_masked_bursts_match_a_plain_store(self, service):
+        """A repeated mask takes each worker's memoized masked slot and
+        candidate index (bursts >= 32 queries); results stay
+        bit-identical to an in-process store across updates."""
+        reference = CamStore(make_config())
+        for store in (reference, service):
+            store.insert_many(WORDS, keys=KEYS)
+        burst = PROBES * 10
+        for step in range(3):
+            for mask in ("111111110000", "111111110000", "000011111111",
+                         "111111110000"):
+                served = service.search_many(burst, mask)
+                expected = reference.search_batch(burst, mask,
+                                                  use_cache=False)
+                assert [r.match_keys for r in served] == \
+                    [r.match_keys for r in expected]
+                assert [r.result.energy for r in served] == \
+                    [r.energy for r in expected]
+            for store in (reference, service):
+                store.update(KEYS[step], WORDS[-1 - step])
+
     def test_submit_returns_future(self, service):
         service.insert(WORDS[0], key="a")
         futures = [service.submit(PROBES[0]) for _ in range(8)]

@@ -169,3 +169,45 @@ class TestResultsAcrossAPublish:
         finally:
             arena.close()
             backend.close()
+
+
+class TestMaskedMemoAcrossATornWindow:
+    def test_bust_drops_a_masked_slot_built_from_torn_content(
+            self, backend, replica):
+        """A masked derivation built while a window was open (here: a
+        row transiently cleared, then restored, the generation never
+        moving) must not survive the retry — the bust drops the masked
+        slot too, so the retry re-derives from the restored planes."""
+        mask = "111111110000"
+        backend.insert("1010XXXXXXXX", "a", 0.0, None, 0)
+        entry = backend.get("a")
+        row = entry.bank * backend.config.rows_per_bank + entry.row
+        writer_planes = backend.arena.planes()
+        saved = (writer_planes.value[row].copy(),
+                 writer_planes.care[row].copy())
+        real_refresh = replica._refresh
+        torn = []
+
+        def restore():
+            writer_planes.set_row(row, *saved)
+            backend.arena.end_publish()  # generation untouched
+
+        def tearing_refresh():
+            generation = real_refresh()
+            if not torn:
+                torn.append(1)
+                backend.arena.begin_publish()
+                writer_planes.clear_row(row)
+                threading.Timer(0.05, restore).start()
+            return generation
+
+        replica._refresh = tearing_refresh
+        generation, matches, _, _ = replica.serve_search([PROBE], mask)
+        assert torn and generation == 1
+        assert [key for key, *_ in matches[0]] == ["a"]
+        replica._refresh = real_refresh
+        # Served again at the unchanged generation: still the restored
+        # content, through the memoized masked slot.
+        for _ in range(2):
+            _, matches, _, _ = replica.serve_search([PROBE], mask)
+            assert [key for key, *_ in matches[0]] == ["a"]

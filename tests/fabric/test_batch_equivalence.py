@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fecam.designs import DesignKind
@@ -329,3 +329,68 @@ def test_batch_equals_loop_across_interleaved_writes(data):
         assert [r.latency for r in seq] == [r.latency for r in bat]
         assert ([t.__dict__ for t in looped.stats.per_bank]
                 == [t.__dict__ for t in batched.stats.per_bank])
+
+
+@pytest.fixture(params=["numpy", "compiled"])
+def kernel_backend(request):
+    """Run once per kernel backend (compiled skipped without a build).
+    The backend is process state, so it holds for every example."""
+    from fecam import kernels
+    kernels.reset_backend()
+    if request.param == "compiled" and not kernels.compiled_available():
+        pytest.skip("compiled kernel unavailable")
+    kernels.set_backend(request.param)
+    yield request.param
+    kernels.reset_backend()
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_repeated_masks_take_the_index_and_equal_the_loop(kernel_backend,
+                                                          data):
+    """A repeated mask reaches the memoized masked candidate index and
+    stays bit-identical to the per-query ``search(q, mask)`` loop:
+    masks A, A, A, B, A, then a write, then A — keys in order, energy,
+    latency, bank counters."""
+    width = 16
+    banks = data.draw(st.integers(1, 4), label="banks")
+    rows = 16
+    rng = random.Random(data.draw(st.integers(0, 2**31), label="seed"))
+    words = ["".join(rng.choice("01X") for _ in range(width))
+             for _ in range(banks * rows - 2)]
+    bank_map = [i % banks for i in range(len(words))]
+    looped, batched = build_pair(banks, rows, width, words, bank_map)
+    mask_a = "".join(rng.choice("1110") for _ in range(width))
+    mask_b = "".join(rng.choice("01") for _ in range(width))
+    arena = batched.arena
+    pack_mask = batched.banks[0].cam.pack_mask
+
+    def batch(mask):
+        # >= TABLE_MIN_QUERIES, so the auto kernel may build an index.
+        queries = ["".join(rng.choice("01") for _ in range(width))
+                   for _ in range(40)]
+        seq = [looped.search(q, mask) for q in queries]
+        bat = batched.search_batch(queries, mask)
+        assert [r.match_keys for r in seq] == [r.match_keys for r in bat]
+        assert [r.energy for r in seq] == [r.energy for r in bat]
+        assert [r.latency for r in seq] == [r.latency for r in bat]
+        assert ([t.__dict__ for t in looped.stats.per_bank]
+                == [t.__dict__ for t in batched.stats.per_bank])
+        for bank_seq, bank_bat in zip(looped.banks, batched.banks):
+            assert bank_seq.cam.energy_spent == bank_bat.cam.energy_spent
+        return arena.step1_index(pack_mask(mask), build=False)
+
+    first = batch(mask_a)                 # the index is built at once
+    assert first is not None
+    assert batch(mask_a) is first         # ... and kept
+    assert batch(mask_a) is first
+    index_b = batch(mask_b)               # another mask takes the slot
+    assert index_b is not None and index_b is not first
+    again = batch(mask_a)                 # A is rebuilt
+    assert again is not None and again is not first
+    late = "".join(rng.choice("01X") for _ in range(width))
+    for fabric in (looped, batched):
+        fabric.insert(late, key="late")
+    after = batch(mask_a)                 # the write moved the generation
+    assert after is not None and after is not again

@@ -5,12 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fecam import planes as planes_mod
 from fecam.designs import DesignKind
 from fecam.errors import OperationError
 from fecam.functional import EnergyModel, TernaryCAM, pack_word, pack_words
-from fecam.planes import (CHUNK_BITS, TernaryPlanes, build_step1_index,
-                          compress_even, n_chunks_for, step_masks)
+from fecam.planes import (CHUNK_BITS, DerivedPlanes, TernaryPlanes,
+                          build_step1_index, compress_even, n_chunks_for,
+                          step_masks)
 
 
 def fast_cam(rows, width):
@@ -219,6 +223,175 @@ class TestDerivedPlanes:
         assert planes.step1_index(build=False) is built  # cache hit
         planes.set_row(1, *pack_word("0101XXXX", 8))
         assert planes.step1_index(build=False) is None  # stale: not served
+
+
+def table_index(derived):
+    """The 256 x M table reference: every (query byte, row) pair whose
+    cared low even byte agrees, in ``np.nonzero`` (byte-major) order."""
+    ce8 = (derived.ce32[:, 0] & np.uint32(0xFF)).astype(np.uint8)
+    ve8 = (derived.ve32[:, 0] & np.uint32(0xFF)).astype(np.uint8)
+    table = (np.arange(256, dtype=np.uint8)[:, None] & ce8[None, :]) \
+        == ve8[None, :]
+    x_idx, col_idx = np.nonzero(table)
+    indptr = np.zeros(257, dtype=np.int64)
+    np.cumsum(np.bincount(x_idx, minlength=256), out=indptr[1:])
+    return indptr, col_idx
+
+
+def synthetic_derived(ce32, ve32):
+    """A DerivedPlanes over given compressed step-1 planes (the index
+    build reads only ce32/ve32 and the row count)."""
+    m = ce32.shape[0]
+    return DerivedPlanes(generation=0, valid_rows=np.arange(m),
+                         rows_searched=m, ce32=ce32, ve32=ve32, co32=ce32,
+                         vo32=ve32, ce32_cm=ce32.T.copy(),
+                         ve32_cm=ve32.T.copy())
+
+
+def random_step1_planes(rng, m, n_chunks, p_free):
+    """Random compressed planes whose low bytes leave each cell free
+    (uncared) with probability ``p_free``; ve32 is a subset of ce32."""
+    ce32 = rng.integers(0, 1 << 32, (m, n_chunks), dtype=np.uint32)
+    free = rng.random((m, 8)) < p_free
+    ce32[:, 0] |= np.uint32(0xFF)
+    ce32[:, 0] &= ~(free << np.arange(8)).sum(axis=1).astype(np.uint32)
+    ve32 = rng.integers(0, 1 << 32, (m, n_chunks), dtype=np.uint32) & ce32
+    return ce32, ve32
+
+
+class TestStep1IndexBuild:
+    """The O(K) expand-and-sort build equals the 256 x M table scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 1500), n_chunks=st.sampled_from([1, 2]),
+           p_free=st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9, 1.0]),
+           seed=st.integers(0, 2**31))
+    def test_equals_table_reference(self, m, n_chunks, p_free, seed):
+        ce32, ve32 = random_step1_planes(np.random.default_rng(seed), m,
+                                         n_chunks, p_free)
+        derived = synthetic_derived(ce32, ve32)
+        index = build_step1_index(derived)
+        indptr, col_idx = table_index(derived)
+        if m >= 1024 and len(col_idx) / 256.0 > 0.5 * m:
+            assert index is None  # wildcard-heavy: density bail-out
+            return
+        assert index is not None
+        assert (index.indptr == indptr).all()
+        assert index.indices.dtype == col_idx.dtype
+        assert (index.indices == col_idx).all()
+        assert (index.ce0_at == ce32[col_idx, 0]).all()
+        assert (index.ve0_at == ve32[col_idx, 0]).all()
+        assert index.mean_candidates == len(col_idx) / 256.0
+
+    def test_empty_table(self):
+        empty = np.zeros((0, 1), dtype=np.uint32)
+        assert build_step1_index(synthetic_derived(empty, empty)) is None
+
+    def test_density_bail_out(self):
+        # 1024 all-wildcard low bytes: every list holds every row.
+        wild = np.zeros((1024, 1), dtype=np.uint32)
+        assert build_step1_index(synthetic_derived(wild, wild)) is None
+
+    def test_row_count_bail_out(self):
+        m = planes_mod._INDEX_MAX_ROWS + 1
+        cared = np.full((m, 1), 0xFF, dtype=np.uint32)
+        assert build_step1_index(synthetic_derived(cared, cared)) is None
+
+    def test_entry_cap_bail_out(self, monkeypatch):
+        ce32, ve32 = random_step1_planes(np.random.default_rng(2), 40, 1,
+                                         0.5)
+        derived = synthetic_derived(ce32, ve32)
+        assert build_step1_index(derived) is not None
+        monkeypatch.setattr(planes_mod, "_INDEX_MAX_ENTRIES", 10)
+        assert build_step1_index(derived) is None
+
+
+class TestMaskedMemo:
+    """One masked slot beside the unmasked memo."""
+
+    @staticmethod
+    def filled(rows=16, width=16, seed=4):
+        rng = random.Random(seed)
+        planes = TernaryPlanes(rows=rows, width=width)
+        words = ["".join(rng.choice("01X") for _ in range(width))
+                 for _ in range(rows)]
+        planes.set_rows(np.arange(rows), *pack_words(words, width))
+        return planes
+
+    @staticmethod
+    def mask(text):
+        return pack_word(text, len(text))[0]
+
+    def test_repeated_mask_returns_the_same_derivation(self):
+        planes = self.filled()
+        mask = self.mask("1111111100000000")
+        first = planes.derived(mask)
+        assert planes.derived(mask.copy()) is first  # keyed by bytes
+        assert first is not planes.derived()  # its own slot
+        assert planes.derived(mask) is first  # unmasked memo beside it
+
+    def test_masked_derivation_equals_uncached_build(self):
+        planes = self.filled()
+        mask = self.mask("1010101011110000")
+        derived = planes.derived(mask)
+        fresh = planes.build_derived(mask)
+        for name in ("valid_rows", "ce32", "ve32", "co32", "vo32",
+                     "ce32_cm", "ve32_cm"):
+            assert (getattr(derived, name) == getattr(fresh, name)).all()
+        assert derived.generation == planes.generation
+
+    def test_masked_index_follows_the_build_rule(self):
+        planes = self.filled()
+        mask = self.mask("1111111100000000")
+        assert planes.step1_index(mask, build=False) is None  # not derived
+        derived = planes.derived(mask)
+        assert planes.step1_index(mask, build=False) is None  # not built
+        index = planes.step1_index(mask)
+        assert index is not None
+        assert planes.derived(mask) is derived
+        assert planes.step1_index(mask) is index
+        assert planes.step1_index(mask, build=False) is index
+        indptr, col_idx = table_index(derived)
+        assert (index.indptr == indptr).all()
+        assert (index.indices == col_idx).all()
+
+    def test_write_invalidates_the_slot(self):
+        planes = self.filled()
+        mask = self.mask("1111111100000000")
+        first = planes.derived(mask)
+        index = planes.step1_index(mask)
+        assert index is not None
+        planes.clear_row(3)
+        assert planes.step1_index(mask, build=False) is None  # stale
+        second = planes.derived(mask)
+        assert second is not first
+        assert second.rows_searched == first.rows_searched - 1
+        rebuilt = planes.step1_index(mask)
+        assert rebuilt is not None and rebuilt is not index
+
+    def test_another_mask_replaces_the_slot(self):
+        planes = self.filled()
+        mask_a = self.mask("1111111100000000")
+        mask_b = self.mask("0000000011111111")
+        a = planes.derived(mask_a)
+        index_a = planes.step1_index(mask_a)
+        assert index_a is not None
+        assert planes.step1_index(mask_b) is not index_a
+        assert planes.step1_index(mask_a, build=False) is None
+        assert planes.derived(mask_a) is not a  # rebuilt: one slot
+
+    def test_forget_drops_every_memo(self):
+        planes = self.filled()
+        mask = self.mask("1111111100000000")
+        unmasked, index = planes.derived(), planes.step1_index()
+        masked = planes.derived(mask)
+        assert planes.step1_index(mask) is not None
+        planes.forget()
+        assert planes.step1_index(mask, build=False) is None
+        assert planes.step1_index(build=False) is None
+        assert planes.derived(mask) is not masked
+        assert planes.derived() is not unmasked
+        assert planes.step1_index() is not index
 
 
 class TestStoredWords:
