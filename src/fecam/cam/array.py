@@ -13,19 +13,17 @@ enters the evaluation through published numbers plus the word model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..arch.geometry import cell_geometry
 from ..arch.wire import WIRE_14NM
 from ..designs import DesignKind
-from ..devices import VDD, operating_voltages
 from ..errors import OperationError
-from ..spice import (Capacitor, Circuit, DC, TransientOptions, VoltageSource,
-                     step_sequence, transient)
-from .cells import OneFeFetPairCell, TwoFeFetCell
-from .senseamp import SA_THRESHOLD_FRACTION, add_ml_periphery
+from ..spice import Capacitor, Circuit, TransientOptions, transient
+from .schedule import SearchSchedule
+from .senseamp import add_ml_periphery, read_sense
 from .states import normalize_query, normalize_word, ternary_match
-from .word import WordTimings, _line_level_for_query, _schedule
+from .word import WordTimings
 
 __all__ = ["ArraySearchResult", "TcamArrayCircuit"]
 
@@ -37,6 +35,7 @@ class ArraySearchResult:
     design: DesignKind
     query: str
     matches: List[bool]  # per row
+    latencies: List[Optional[float]]  # per row: search start -> SA fall
     expected: List[bool]
     energy_total: float
     t_end: float
@@ -66,9 +65,10 @@ class TcamArrayCircuit:
         assert result.matches == [True, False]
 
     Every search builds fresh source waveforms and runs one transient over
-    the full array, honoring the two-step early-termination schedule
+    the full array on the shared :class:`~fecam.cam.schedule.SearchSchedule`
     (step 2 is skipped only if *all* rows miss in step 1, since the array
-    shares the SeL/query sequencing).
+    shares the SeL/query sequencing).  A row's latency is read exactly as
+    :func:`~fecam.cam.word.simulate_word_search` reads a word's.
     """
 
     def __init__(self, design: DesignKind, rows: int, cols: int, *,
@@ -81,7 +81,6 @@ class TcamArrayCircuit:
         self.rows = rows
         self.cols = cols
         self.timings = (timings or WordTimings()).for_design(design, max(cols, 8))
-        self.volts = operating_voltages(design)
         self._stored: List[Optional[str]] = [None] * rows
 
     # -- content -----------------------------------------------------------------
@@ -104,146 +103,48 @@ class TcamArrayCircuit:
         if any(w is None for w in self._stored):
             raise OperationError("all rows must be programmed before search")
         expected = [ternary_match(w, query) for w in self._stored]
-
-        two_step = self.design.uses_two_step_search
-        if two_step:
-            # Early termination is an array-level decision: step 2 runs
-            # unless every row already missed in step 1.
-            def misses_in_step1(w):
-                return any(s != "X" and s != q
-                           for s, q in zip(w[0::2], query[0::2]))
-            steps = 1 if all(misses_in_step1(w) for w in self._stored) else 2
-        else:
-            steps = 1
-
-        ckt, peripheries, t_end, t_release = self._build(query, steps)
-        result = transient(ckt, t_end,
+        schedule = SearchSchedule.for_search(self.design, self.timings,
+                                             self._stored, query)
+        ckt, peripheries = self._build(schedule, query)
+        result = transient(ckt, schedule.t_end,
                            options=TransientOptions(dt=self.timings.dt))
-        threshold = SA_THRESHOLD_FRACTION * VDD
-        matches = [result.final(p.sa_out) > threshold for p in peripheries]
-        return ArraySearchResult(design=self.design, query=query,
-                                 matches=matches, expected=expected,
-                                 energy_total=result.total_energy(),
-                                 t_end=t_end)
+        readouts = [read_sense(result, p.sa_out, t_start=schedule.t_release)
+                    for p in peripheries]
+        return ArraySearchResult(
+            design=self.design, query=query,
+            matches=[matched for matched, _, _ in readouts],
+            latencies=[latency for _, latency, _ in readouts],
+            expected=expected, energy_total=result.total_energy(),
+            t_end=schedule.t_end)
 
     # -- construction ------------------------------------------------------------
 
-    def _build(self, query: str, steps: int):
-        t = self.timings
-        volts = self.volts
-        two_step = self.design.uses_two_step_search
-        t_query = 0.1e-9
-        t_release = t.t_settle
-        t1 = t_release + t.t_step
-        t_reconfig = t1 + t.t_gap
-        t_end = t_reconfig + t.t_step if (two_step and steps == 2) else t1
-
+    def _build(self, schedule: SearchSchedule, query: str):
         ckt = Circuit(f"array-{self.design.value}-{self.rows}x{self.cols}")
         geo = cell_geometry(self.design)
         c_col = WIRE_14NM.capacitance(geo.height * self.rows)
         c_row = WIRE_14NM.capacitance(geo.width * self.cols)
-
+        rows = range(self.rows)
         if self.design.is_one_fefet:
-            self._build_1t5(ckt, query, steps, t_query, t1, t_reconfig,
-                            c_col, c_row)
+            schedule.add_select_lines(ckt, c_row * self.rows)
+            for p in range(self.cols // 2):
+                bits = slice(2 * p, 2 * p + 2)
+                schedule.add_pair_column(
+                    ckt, f"p{p}", query[bits], c_col,
+                    [(f"cell.r{r}p{p}", f"ml{r}", self._stored[r][bits], 1.0)
+                     for r in rows])
         else:
-            self._build_2fefet(ckt, query, t_query, c_col)
+            for c in range(self.cols):
+                schedule.add_2fefet_column(
+                    ckt, f"c{c}", query[c], c_col,
+                    [(f"cell.r{r}c{c}", f"ml{r}", self._stored[r][c], 1.0)
+                     for r in rows])
 
         peripheries = []
-        for r in range(self.rows):
+        for r in rows:
             ml = f"ml{r}"
-            ckt.add(Capacitor(f"CML{r}", ml, "0",
-                              WIRE_14NM.capacitance(geo.width * self.cols)))
-            peripheries.append(add_ml_periphery(ckt, ml,
-                                                precharge_until=t_release,
-                                                prefix=f"mlp{r}"))
-        return ckt, peripheries, t_end, t_release
-
-    def _build_1t5(self, ckt, query, steps, t_query, t1, t_reconfig,
-                   c_col, c_row):
-        volts = self.volts
-        t = self.timings
-        ckt.add(VoltageSource("VDDC", "vddc", "0", VDD))
-        if self.design.is_double_gate:
-            sela_levels = [(0.0, 0.0), (t_query, volts.vsel)]
-            selb_levels = [(0.0, 0.0)]
-            if steps == 2:
-                sela_levels.append((t1, 0.0))
-                selb_levels.append((t_reconfig, volts.vsel))
-            ckt.add(VoltageSource("VSELA", "sela", "0",
-                                  _schedule(sela_levels, t.t_trans)))
-            ckt.add(VoltageSource("VSELB", "selb", "0",
-                                  _schedule(selb_levels, t.t_trans)))
-            ckt.add(Capacitor("CSELA", "sela", "0", c_row * self.rows))
-            ckt.add(Capacitor("CSELB", "selb", "0", c_row * self.rows))
-            sela, selb = "sela", "selb"
-        else:
-            sela, selb = "0", "0"
-
-        for p in range(self.cols // 2):
-            q1, q2 = query[2 * p], query[2 * p + 1]
-            l1 = _line_level_for_query(q1, volts.vdd)
-            l2 = _line_level_for_query(q2, volts.vdd)
-            sl_levels = [(0.0, 0.0), (t_query, l1)]
-            wr_levels = [(0.0, volts.vdd), (t_query, l1)]
-            if steps == 2:
-                sl_levels += [(t1, 0.0), (t_reconfig, l2)]
-                wr_levels += [(t1, volts.vdd), (t_reconfig, l2)]
-            sl = f"sl.p{p}"
-            wrsl = f"wrsl.p{p}"
-            ckt.add(VoltageSource(f"VSL.p{p}", sl, "0",
-                                  _schedule(sl_levels, t.t_trans_lines)))
-            ckt.add(VoltageSource(f"VWRSL.p{p}", wrsl, "0",
-                                  _schedule(wr_levels, t.t_trans_lines)))
-            ckt.add(Capacitor(f"CSL.p{p}", sl, "0", 2 * c_col))
-
-            if self.design.is_double_gate:
-                bl1_levels = [(0.0, 0.0),
-                              (t_query, volts.vb if q1 == "0" else 0.0)]
-                bl2_levels = [(0.0, 0.0)]
-                if steps == 2:
-                    bl1_levels.append((t1, 0.0))
-                    bl2_levels.append((t_reconfig,
-                                       volts.vb if q2 == "0" else 0.0))
-            else:
-                bl1_levels = [(0.0, 0.0), (t_query, volts.vsel)]
-                bl2_levels = [(0.0, 0.0)]
-                if steps == 2:
-                    bl1_levels.append((t1, 0.0))
-                    bl2_levels.append((t_reconfig, volts.vsel))
-            bl1 = f"bl1.p{p}"
-            bl2 = f"bl2.p{p}"
-            ckt.add(VoltageSource(f"VBL1.p{p}", bl1, "0",
-                                  _schedule(bl1_levels, t.t_trans)))
-            ckt.add(VoltageSource(f"VBL2.p{p}", bl2, "0",
-                                  _schedule(bl2_levels, t.t_trans)))
-            ckt.add(Capacitor(f"CBL1.p{p}", bl1, "0", c_col))
-            ckt.add(Capacitor(f"CBL2.p{p}", bl2, "0", c_col))
-
-            for r in range(self.rows):
-                pair = OneFeFetPairCell.build(
-                    ckt, self.design, f"cell.r{r}p{p}", ml=f"ml{r}",
-                    sl=sl, wrsl=wrsl, bl1=bl1, bl2=bl2,
-                    sela=sela, selb=selb, vdd="vddc")
-                pair.program(self._stored[r][2 * p:2 * p + 2])
-
-    def _build_2fefet(self, ckt, query, t_query, c_col):
-        volts = self.volts
-        t = self.timings
-        for c in range(self.cols):
-            q = query[c]
-            va = volts.vsel if q == "0" else 0.0
-            vb = volts.vsel if q == "1" else 0.0
-            la, lb = f"la.c{c}", f"lb.c{c}"
-            ckt.add(VoltageSource(f"VSLA.c{c}", la, "0",
-                                  _schedule([(0.0, 0.0), (t_query, va)],
-                                            t.t_trans)))
-            ckt.add(VoltageSource(f"VSLB.c{c}", lb, "0",
-                                  _schedule([(0.0, 0.0), (t_query, vb)],
-                                            t.t_trans)))
-            ckt.add(Capacitor(f"CLA.c{c}", la, "0", c_col))
-            ckt.add(Capacitor(f"CLB.c{c}", lb, "0", c_col))
-            for r in range(self.rows):
-                cell = TwoFeFetCell.build(ckt, self.design, f"cell.r{r}c{c}",
-                                          ml=f"ml{r}", line_a=la, line_b=lb)
-                cell.program(self._stored[r][c])
+            ckt.add(Capacitor(f"CML{r}", ml, "0", c_row))
+            peripheries.append(add_ml_periphery(
+                ckt, ml, precharge_until=schedule.t_release,
+                prefix=f"mlp{r}"))
+        return ckt, peripheries

@@ -11,9 +11,10 @@ mismatch discharge (mismatch current is ~10x the keeper current).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..devices import VDD, nmos, pmos
-from ..spice import Circuit, Pulse, VoltageSource
+from ..spice import Circuit, Pulse, TransientResult, VoltageSource
 
 __all__ = ["MlPeriphery", "add_ml_periphery", "SA_THRESHOLD_FRACTION"]
 
@@ -73,3 +74,16 @@ def add_ml_periphery(ckt: Circuit, ml: str, *, precharge_until: float,
     ckt.add(nmos(f"{prefix}.SAN2", sa_out, sa_mid, "0", w=40e-9))
     return MlPeriphery(ml=ml, sa_out=sa_out, sa_mid=sa_mid,
                        precharge_until=precharge_until)
+
+
+def read_sense(result: TransientResult, sa_out: str, *, t_start: float,
+               vdd: float = VDD) -> Tuple[bool, Optional[float], float]:
+    """``(matched, latency, final SA level)`` at the SA threshold: matched
+    if the output ends above it; latency from ``t_start`` to the output's
+    first fall through it, None if it never falls."""
+    threshold = SA_THRESHOLD_FRACTION * vdd
+    t_fall = result.crossing_time(sa_out, threshold, rising=False,
+                                  after=t_start)
+    sa_final = result.final(sa_out)
+    latency = None if t_fall is None else t_fall - t_start
+    return sa_final > threshold, latency, sa_final

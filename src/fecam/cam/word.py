@@ -24,20 +24,20 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..arch.geometry import cell_geometry
 from ..arch.wire import WIRE_14NM
 from ..designs import DesignKind
-from ..devices import VDD, operating_voltages
-from ..errors import OperationError, SimulationError
-from ..spice import (Capacitor, Circuit, DC, PWL, TransientOptions,
-                     TransientResult, VoltageSource, step_sequence, transient)
-from .cells import Cmos16TCompareCell, OneFeFetPairCell, TwoFeFetCell
-from .senseamp import SA_THRESHOLD_FRACTION, add_ml_periphery
-from .states import (first_mismatch_step, mismatch_positions, normalize_query,
-                     normalize_word, ternary_match)
+from ..devices import VDD
+from ..errors import OperationError
+from ..spice import (Capacitor, Circuit, TransientOptions, TransientResult,
+                     VoltageSource, transient)
+from .cells import Cmos16TCompareCell
+from .schedule import SearchSchedule
+from .senseamp import add_ml_periphery, read_sense
+from .states import normalize_query, normalize_word, ternary_match
 
 __all__ = ["WordTimings", "WordSearchResult", "simulate_word_search",
            "scenario_content", "SCENARIOS_TWO_STEP", "SCENARIOS_SINGLE_STEP"]
@@ -165,195 +165,62 @@ def scenario_content(design: DesignKind, n_bits: int,
     return stored, "".join(query)
 
 
-def _line_level_for_query(q: str, vdd: float) -> float:
-    """SL / Wr-SL level during a search step (Tab. II: VDD to search '0',
-    ground to search '1')."""
-    return vdd if q == "0" else 0.0
-
-
-def _schedule(levels: List[Tuple[float, float]], t_trans: float):
-    if len(levels) == 1 or all(v == levels[0][1] for _, v in levels):
-        return DC(levels[0][1])
-    return step_sequence(levels, transition=t_trans)
-
-
 class _WordBuilder:
-    """Builds the reduced word circuit for one (design, content, scenario)."""
+    """Builds the reduced word circuit for one (design, content, scenario).
+
+    Equivalent cells merge into one class per column with a multiplier;
+    :class:`~fecam.cam.schedule.SearchSchedule` drives every line.
+    """
 
     def __init__(self, design: DesignKind, stored: str, query: str,
                  scenario: str, timings: WordTimings):
         self.design = design
         self.stored = stored
         self.query = query
-        self.scenario = scenario
-        self.t = timings
         self.n_bits = len(stored)
+        self.vdd = VDD_CMOS if design is DesignKind.CMOS_16T else VDD
         self.ckt = Circuit(f"word-{design.value}-{scenario}")
-        geo = cell_geometry(design)
-        self.c_col_per_cell = WIRE_14NM.capacitance(geo.height)
-        self.c_row_per_cell = WIRE_14NM.capacitance(geo.width)
-        self.two_step = design.uses_two_step_search
-        # Early termination: a step-1 miss ends the operation after step 1.
-        if self.two_step:
-            self.steps = 1 if first_mismatch_step(stored, query) == 1 else 2
-        else:
-            self.steps = 1
-        self.t_query = 0.1e-9
-        self.t_release = self.t.t_settle
-        self.t_step1_end = self.t_release + self.t.t_step
-        # Break-before-make: deselect cell1 at step-1 end, flip the query
-        # lines and select cell2 only after the slack gap.
-        self.t_reconfig = self.t_step1_end + self.t.t_gap
-        self.t_end = (self.t_reconfig + self.t.t_step
-                      if self.two_step and self.steps == 2 else self.t_step1_end)
-
-    # -- per-design builders ---------------------------------------------------
+        self.geo = cell_geometry(design)
+        self.c_col_per_cell = WIRE_14NM.capacitance(self.geo.height)
+        self.schedule = SearchSchedule.for_search(design, timings, [stored],
+                                                  query)
 
     def build(self):
+        schedule, ckt = self.schedule, self.ckt
         if self.design is DesignKind.CMOS_16T:
             self._build_cmos()
         elif self.design.is_one_fefet:
-            self._build_1t5()
+            schedule.add_select_lines(
+                ckt, WIRE_14NM.capacitance(self.geo.width) * self.n_bits)
+            pairs = Counter((self.stored[i], self.query[i],
+                             self.stored[i + 1], self.query[i + 1])
+                            for i in range(0, self.n_bits, 2))
+            for k, ((s1, q1, s2, q2), count) in enumerate(sorted(pairs.items())):
+                schedule.add_pair_column(
+                    ckt, f"c{k}", q1 + q2, self.c_col_per_cell * count,
+                    [(f"pair.c{k}", "ml", s1 + s2, count)])
         else:
-            self._build_2fefet()
-        vdd = VDD_CMOS if self.design is DesignKind.CMOS_16T else VDD
-        self.periph = add_ml_periphery(self.ckt, "ml",
-                                       precharge_until=self.t_release,
-                                       vdd=vdd)
+            cells = Counter(zip(self.stored, self.query))
+            for k, ((s, q), count) in enumerate(sorted(cells.items())):
+                schedule.add_2fefet_column(
+                    ckt, f"c{k}", q, self.c_col_per_cell * count,
+                    [(f"cell.c{k}", "ml", s, count)])
+        self.periph = add_ml_periphery(ckt, "ml",
+                                       precharge_until=schedule.t_release,
+                                       vdd=self.vdd)
         # ML wire capacitance (row-wise, full length).
-        c_ml_wire = WIRE_14NM.capacitance(
-            cell_geometry(self.design).width * self.n_bits)
-        self.ckt.add(Capacitor("CMLWIRE", "ml", "0", c_ml_wire))
-        return self.ckt
-
-    def _build_1t5(self):
-        volts = operating_voltages(self.design)
-        pairs = [(self.stored[i], self.query[i],
-                  self.stored[i + 1], self.query[i + 1])
-                 for i in range(0, self.n_bits, 2)]
-        classes = Counter(pairs)
-        self.ckt.add(VoltageSource("VDDC", "vddc", "0", VDD))
-
-        # Row select lines (DG only): all rows toggle together during a
-        # search, so one SeLa/SeLb source pair with full row wire load.
-        if self.design.is_double_gate:
-            sela_levels = [(0.0, 0.0), (self.t_query, volts.vsel)]
-            if self.steps == 2:
-                sela_levels.append((self.t_step1_end, 0.0))
-            selb_levels = [(0.0, 0.0)]
-            if self.steps == 2:
-                selb_levels.append((self.t_reconfig, volts.vsel))
-            self.ckt.add(VoltageSource(
-                "VSELA", "sela", "0", _schedule(sela_levels, self.t.t_trans)))
-            self.ckt.add(VoltageSource(
-                "VSELB", "selb", "0", _schedule(selb_levels, self.t.t_trans)))
-            c_row = self.c_row_per_cell * self.n_bits
-            self.ckt.add(Capacitor("CSELA", "sela", "0", c_row))
-            self.ckt.add(Capacitor("CSELB", "selb", "0", c_row))
-
-        for k, ((s1, q1, s2, q2), count) in enumerate(sorted(classes.items())):
-            self._add_pair_class(k, s1, q1, s2, q2, count, volts)
-
-    def _add_pair_class(self, k, s1, q1, s2, q2, count, volts):
-        t = self.t
-        # SL / Wr-SL: idle (write-idle: SL=0, WrSL=VDD), then the step-1
-        # query level on both, then the step-2 level.
-        l1 = _line_level_for_query(q1, volts.vdd)
-        l2 = _line_level_for_query(q2, volts.vdd)
-        sl_levels = [(0.0, 0.0), (self.t_query, l1)]
-        wr_levels = [(0.0, volts.vdd), (self.t_query, l1)]
-        if self.steps == 2:
-            # Gap state = the idle/write configuration (SL=0, Wr/SL=VDD):
-            # TN actively holds SL_bar at ground while the selects swap, so
-            # no data pattern can glitch the precharged-once match line.
-            sl_levels.append((self.t_step1_end, 0.0))
-            wr_levels.append((self.t_step1_end, volts.vdd))
-            sl_levels.append((self.t_reconfig, l2))
-            wr_levels.append((self.t_reconfig, l2))
-        sl = f"sl.c{k}"
-        wrsl = f"wrsl.c{k}"
-        self.ckt.add(VoltageSource(f"VSL.c{k}", sl, "0",
-                                   _schedule(sl_levels, t.t_trans_lines)))
-        self.ckt.add(VoltageSource(f"VWRSL.c{k}", wrsl, "0",
-                                   _schedule(wr_levels, t.t_trans_lines)))
-        # Column wire shares: SL + WrSL + both BLs span the array column;
-        # one row's share is one cell-height of wire each.
-        self.ckt.add(Capacitor(f"CSL.c{k}", sl, "0",
-                               2 * self.c_col_per_cell * count))
-
-        if self.design.is_double_gate:
-            # Tab. II: BL carries Vb while searching '0', 0 otherwise;
-            # only the selected cell's BL is biased.
-            bl1_levels = [(0.0, 0.0),
-                          (self.t_query, volts.vb if q1 == "0" else 0.0)]
-            bl2_levels = [(0.0, 0.0)]
-            if self.steps == 2:
-                bl1_levels.append((self.t_step1_end, 0.0))
-                bl2_levels.append((self.t_reconfig,
-                                   volts.vb if q2 == "0" else 0.0))
-            sela, selb = "sela", "selb"
-        else:
-            # SG (Tab. III): merged BL/SeL column carries VSeL for the
-            # selected cell in its step, 0 otherwise.
-            bl1_levels = [(0.0, 0.0), (self.t_query, volts.vsel)]
-            bl2_levels = [(0.0, 0.0)]
-            if self.steps == 2:
-                bl1_levels.append((self.t_step1_end, 0.0))
-                bl2_levels.append((self.t_reconfig, volts.vsel))
-            sela, selb = "0", "0"
-        bl1 = f"bl1.c{k}"
-        bl2 = f"bl2.c{k}"
-        self.ckt.add(VoltageSource(f"VBL1.c{k}", bl1, "0",
-                                   _schedule(bl1_levels, self.t.t_trans_lines)))
-        self.ckt.add(VoltageSource(f"VBL2.c{k}", bl2, "0",
-                                   _schedule(bl2_levels, self.t.t_trans_lines)))
-        self.ckt.add(Capacitor(f"CBL.c{k}", bl1, "0",
-                               self.c_col_per_cell * count))
-        self.ckt.add(Capacitor(f"CBL2.c{k}", bl2, "0",
-                               self.c_col_per_cell * count))
-        pair = OneFeFetPairCell.build(
-            self.ckt, self.design, f"pair.c{k}", ml="ml", sl=sl, wrsl=wrsl,
-            bl1=bl1, bl2=bl2, sela=sela, selb=selb, vdd="vddc",
-            multiplier=count)
-        pair.program(s1 + s2)
-
-    def _build_2fefet(self):
-        volts = operating_voltages(self.design)
-        cells = list(zip(self.stored, self.query))
-        classes = Counter(cells)
-        for k, ((s, q), count) in enumerate(sorted(classes.items())):
-            # Tab. I: search '0' raises the A-side line, '1' the B-side.
-            va = volts.vsel if q == "0" else 0.0
-            vb_level = volts.vsel if q == "1" else 0.0
-            la, lb = f"la.c{k}", f"lb.c{k}"
-            self.ckt.add(VoltageSource(
-                f"VSLA.c{k}", la, "0",
-                _schedule([(0.0, 0.0), (self.t_query, va)], self.t.t_trans)))
-            self.ckt.add(VoltageSource(
-                f"VSLB.c{k}", lb, "0",
-                _schedule([(0.0, 0.0), (self.t_query, vb_level)], self.t.t_trans)))
-            self.ckt.add(Capacitor(f"CLA.c{k}", la, "0",
-                                   self.c_col_per_cell * count))
-            self.ckt.add(Capacitor(f"CLB.c{k}", lb, "0",
-                                   self.c_col_per_cell * count))
-            cell = TwoFeFetCell.build(self.ckt, self.design, f"cell.c{k}",
-                                      ml="ml", line_a=la, line_b=lb,
-                                      multiplier=count)
-            cell.program(s)
+        ckt.add(Capacitor("CMLWIRE", "ml", "0", WIRE_14NM.capacitance(
+            self.geo.width * self.n_bits)))
+        return ckt
 
     def _build_cmos(self):
-        cells = list(zip(self.stored, self.query))
-        classes = Counter(cells)
+        classes = Counter(zip(self.stored, self.query))
         for k, ((s, q), count) in enumerate(sorted(classes.items())):
             sl_level = VDD_CMOS if q == "1" else 0.0
             slb_level = VDD_CMOS if q == "0" else 0.0
             sl, slb = f"sl.c{k}", f"slb.c{k}"
-            self.ckt.add(VoltageSource(
-                f"VSL.c{k}", sl, "0",
-                _schedule([(0.0, 0.0), (self.t_query, sl_level)], self.t.t_trans)))
-            self.ckt.add(VoltageSource(
-                f"VSLB.c{k}", slb, "0",
-                _schedule([(0.0, 0.0), (self.t_query, slb_level)], self.t.t_trans)))
+            self.schedule.drive_query(self.ckt, f"VSL.c{k}", sl, sl_level)
+            self.schedule.drive_query(self.ckt, f"VSLB.c{k}", slb, slb_level)
             self.ckt.add(Capacitor(f"CSL.c{k}", sl, "0",
                                    self.c_col_per_cell * count))
             self.ckt.add(Capacitor(f"CSLB.c{k}", slb, "0",
@@ -427,27 +294,15 @@ def simulate_word_search(design: DesignKind, n_bits: int = 64,
         # as good as a full WordTimings plan.
         timings = WordTimings(**dict(timings))
     timings = (timings or WordTimings()).for_design(design, n_bits)
-    if design.uses_two_step_search and timings.t_gap <= timings.t_trans_lines:
-        # Step 2's query edge starts t_gap after step 1's ends; a gap no
-        # longer than the line edge would overlap the two.
-        raise OperationError(
-            f"{design}: t_gap ({timings.t_gap:g} s) must exceed "
-            f"t_trans_lines ({timings.t_trans_lines:g} s)")
     builder = _WordBuilder(design, stored, query, scenario, timings)
     ckt = builder.build()
-    result = transient(ckt, builder.t_end,
+    schedule = builder.schedule
+    result = transient(ckt, schedule.t_end,
                        options=TransientOptions(dt=timings.dt))
-
-    vdd = VDD_CMOS if design is DesignKind.CMOS_16T else VDD
-    threshold = SA_THRESHOLD_FRACTION * vdd
-    sa_out = builder.periph.sa_out
-    t_start = builder.t_release
-    t_fall = result.crossing_time(sa_out, threshold, rising=False,
-                                  after=t_start)
-    sa_final = result.final(sa_out)
-    matched = sa_final > threshold
+    matched, latency, sa_final = read_sense(
+        result, builder.periph.sa_out, t_start=schedule.t_release,
+        vdd=builder.vdd)
     expected = ternary_match(stored, query)
-    latency = None if t_fall is None else t_fall - t_start
 
     ml_trace = result.voltage("ml")
     energy_by_group: Dict[str, float] = {}
@@ -459,8 +314,9 @@ def simulate_word_search(design: DesignKind, n_bits: int = 64,
     return WordSearchResult(
         design=design, n_bits=n_bits, scenario=scenario, stored=stored,
         query=query, expected_match=expected, matched=matched,
-        latency=latency, t_search_start=t_start, t_end=builder.t_end,
-        steps_run=builder.steps, energy_total=energy_total,
+        latency=latency, t_search_start=schedule.t_release,
+        t_end=schedule.t_end, steps_run=schedule.steps,
+        energy_total=energy_total,
         energy_per_bit=energy_total / n_bits,
         energy_by_group=energy_by_group, ml_final=float(ml_trace[-1]),
         sa_final=sa_final, ml_min=float(ml_trace.min()), result=result)

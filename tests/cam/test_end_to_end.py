@@ -9,7 +9,8 @@ the search transient must read them back correctly.
 import pytest
 
 from fecam.cam import (WriteController, simulate_word_search, ternary_match)
-from fecam.cam.word import _WordBuilder, WordTimings
+from fecam.cam.schedule import SearchSchedule
+from fecam.cam.word import WordTimings
 from fecam.designs import DesignKind
 from fecam.devices import cell_sizing, make_fefet
 from fecam.spice import (Circuit, Pulse, Resistor, TransientOptions,
@@ -161,11 +162,22 @@ class TestTimingPlan:
         dg = base.for_design(DesignKind.DG_2FEFET, 64)
         assert dg.t_step > sg.t_step
 
-    def test_builder_schedule_consistency(self):
-        stored = "10" * 8
-        b = _WordBuilder(DesignKind.DG_1T5, stored, stored, "match",
-                         WordTimings().for_design(DesignKind.DG_1T5, 16))
-        assert b.steps == 2
-        assert b.t_end == pytest.approx(
-            b.t_reconfig + b.t.t_step)
-        assert b.t_reconfig > b.t_step1_end
+    @pytest.mark.parametrize("rows,steps", [
+        (["10" * 8], 2),
+        (["01" + "10" * 7, "10" * 8], 2),
+        (["01" + "10" * 7, "11" + "10" * 7], 2),
+        (["01" + "10" * 7, "00" + "10" * 7], 1),
+    ], ids=["word-match", "one-row-survives-step1",
+            "other-row-misses-in-step2", "every-row-misses-in-step1"])
+    def test_builder_schedule_consistency(self, rows, steps):
+        """Step 2 runs unless every row missed in step 1; a word is the
+        one-row case."""
+        query = "10" * 8
+        timings = WordTimings().for_design(DesignKind.DG_1T5, 16)
+        s = SearchSchedule.for_search(DesignKind.DG_1T5, timings, rows, query)
+        assert s.steps == steps
+        if steps == 2:
+            assert s.t_end == pytest.approx(s.t_reconfig + s.timings.t_step)
+        else:
+            assert s.t_end == s.t_step1_end
+        assert s.t_reconfig > s.t_step1_end

@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 
 from fecam.cam import (TcamArrayCircuit, scenario_content,
                        simulate_word_search, ternary_match)
-from fecam.cam.word import SCENARIOS_TWO_STEP, WordTimings
+from fecam.cam.word import (SCENARIOS_SINGLE_STEP, SCENARIOS_TWO_STEP,
+                            WordTimings)
 from fecam.designs import DesignKind
 from fecam.errors import OperationError
 
 TWO_STEP = (DesignKind.SG_1T5, DesignKind.DG_1T5)
 SINGLE = (DesignKind.SG_2FEFET, DesignKind.DG_2FEFET, DesignKind.CMOS_16T)
+#: Every (FeFET design, scenario) pair the array can run.
+ARRAY_SCENARIOS = [(d, s) for d in TWO_STEP for s in SCENARIOS_TWO_STEP] + [
+    (d, s) for d in SINGLE[:2] for s in SCENARIOS_SINGLE_STEP]
 
 
 class TestScenarioContent:
@@ -147,6 +151,28 @@ class TestArrayCircuit:
         arr.program(0, stored)
         full = arr.search(query)
         assert word.matched == full.matches[0] == ternary_match(stored, query)
+
+    @pytest.mark.parametrize("design,scenario", ARRAY_SCENARIOS,
+                             ids=lambda v: getattr(v, "name", v))
+    def test_array_of_word_rows_prices_four_words(self, design, scenario):
+        """A 4-row array whose every row is one word scenario is four of
+        that word: the word model's multiplier reduction and its 1/M
+        column-line share are exact, in energy and per-row latency."""
+        stored, query = scenario_content(design, 16, scenario)
+        word = simulate_word_search(design, 16, scenario)
+        arr = TcamArrayCircuit(design, rows=4, cols=16)
+        for row in range(4):
+            arr.program(row, stored)
+        full = arr.search(query)
+        assert full.matches == [word.matched] * 4
+        assert full.t_end == word.t_end
+        assert full.energy_total / (4 * word.energy_total) == \
+            pytest.approx(1.0, abs=1e-5)
+        for latency in full.latencies:
+            if word.latency is None:
+                assert latency is None
+            else:
+                assert latency == pytest.approx(word.latency, rel=1e-3)
 
 
 @settings(max_examples=6, deadline=None)
