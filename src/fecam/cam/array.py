@@ -142,9 +142,8 @@ class TcamArrayCircuit:
 
         peripheries = []
         for r in rows:
-            ml = f"ml{r}"
-            ckt.add(Capacitor(f"CML{r}", ml, "0", c_row))
+            ckt.add(Capacitor(f"CML{r}", f"ml{r}", "0", c_row))
             peripheries.append(add_ml_periphery(
-                ckt, ml, precharge_until=schedule.t_release,
+                ckt, f"ml{r}", precharge_until=schedule.t_release,
                 prefix=f"mlp{r}"))
         return ckt, peripheries

@@ -16,7 +16,7 @@ array attaches one cell per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Iterable, List, Sequence, Tuple
 
 from ..designs import DesignKind
 from ..devices import VDD, operating_voltages
@@ -56,25 +56,28 @@ class SearchSchedule:
     design: DesignKind
     timings: WordTimings
     steps: int
-    t_query: float = 0.1e-9  # query lines and selects switch on
+    t_query: ClassVar[float] = 0.1e-9  # query lines and selects switch on
+
+    def __post_init__(self) -> None:
+        two_step = self.design.uses_two_step_search
+        if self.steps not in ((1, 2) if two_step else (1,)):
+            raise OperationError(
+                f"{self.design}: a search cannot run {self.steps} steps")
+        if two_step and self.timings.t_gap <= self.timings.t_trans_lines:
+            # Step 2's query edge starts t_gap after step 1's ends; a gap
+            # no longer than the line edge would overlap the two.
+            raise OperationError(
+                f"{self.design}: t_gap ({self.timings.t_gap:g} s) must "
+                f"exceed t_trans_lines ({self.timings.t_trans_lines:g} s)")
 
     @classmethod
     def for_search(cls, design: DesignKind, timings: WordTimings,
                    stored_rows: Iterable[str], query: str) -> "SearchSchedule":
         """Two steps for a two-step design unless every row of
         ``stored_rows`` misses ``query`` in step 1; one otherwise."""
-        steps = 1
-        if design.uses_two_step_search:
-            if timings.t_gap <= timings.t_trans_lines:
-                # Step 2's query edge starts t_gap after step 1's ends; a
-                # gap no longer than the line edge would overlap the two.
-                raise OperationError(
-                    f"{design}: t_gap ({timings.t_gap:g} s) must exceed "
-                    f"t_trans_lines ({timings.t_trans_lines:g} s)")
-            if not all(first_mismatch_step(w, query) == 1
-                       for w in stored_rows):
-                steps = 2
-        return cls(design, timings, steps)
+        two = design.uses_two_step_search and not all(
+            first_mismatch_step(w, query) == 1 for w in stored_rows)
+        return cls(design, timings, 2 if two else 1)
 
     @property
     def t_release(self) -> float:

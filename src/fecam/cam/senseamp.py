@@ -16,7 +16,8 @@ from typing import Optional, Tuple
 from ..devices import VDD, nmos, pmos
 from ..spice import Circuit, Pulse, TransientResult, VoltageSource
 
-__all__ = ["MlPeriphery", "add_ml_periphery", "SA_THRESHOLD_FRACTION"]
+__all__ = ["MlPeriphery", "add_ml_periphery", "read_sense",
+           "SA_THRESHOLD_FRACTION"]
 
 #: ML level (fraction of VDD) at which the SA decision flips.
 SA_THRESHOLD_FRACTION = 0.5

@@ -240,13 +240,10 @@ _ENERGY_GROUPS = (
     ("VPC", "ml_precharge"),
     ("VKEEP", "ml_keeper"),
     ("VSA", "sense_amp"),
-    ("VSELA", "select_lines"),
-    ("VSELB", "select_lines"),
+    ("VSEL", "select_lines"),
     ("VSL", "search_lines"),
     ("VWRSL", "search_lines"),
     ("VBL", "search_lines"),
-    ("VSLA", "search_lines"),
-    ("VSLB", "search_lines"),
     ("VDDC", "cell_rail"),
     ("VD.", "storage"),
     ("VDB.", "storage"),
@@ -295,9 +292,8 @@ def simulate_word_search(design: DesignKind, n_bits: int = 64,
         timings = WordTimings(**dict(timings))
     timings = (timings or WordTimings()).for_design(design, n_bits)
     builder = _WordBuilder(design, stored, query, scenario, timings)
-    ckt = builder.build()
     schedule = builder.schedule
-    result = transient(ckt, schedule.t_end,
+    result = transient(builder.build(), schedule.t_end,
                        options=TransientOptions(dt=timings.dt))
     matched, latency, sa_final = read_sense(
         result, builder.periph.sa_out, t_start=schedule.t_release,

@@ -12,6 +12,7 @@ from fecam.cam import (WriteController, simulate_word_search, ternary_match)
 from fecam.cam.schedule import SearchSchedule
 from fecam.cam.word import WordTimings
 from fecam.designs import DesignKind
+from fecam.errors import OperationError
 from fecam.devices import cell_sizing, make_fefet
 from fecam.spice import (Circuit, Pulse, Resistor, TransientOptions,
                          VoltageSource, transient)
@@ -181,3 +182,19 @@ class TestTimingPlan:
         else:
             assert s.t_end == s.t_step1_end
         assert s.t_reconfig > s.t_step1_end
+
+    @pytest.mark.parametrize("design,steps", [
+        (DesignKind.DG_1T5, 0), (DesignKind.DG_1T5, 3),
+        (DesignKind.SG_2FEFET, 2), (DesignKind.CMOS_16T, 2),
+    ])
+    def test_schedule_rejects_a_step_count_its_design_cannot_run(
+            self, design, steps):
+        timings = WordTimings().for_design(design, 16)
+        with pytest.raises(OperationError, match="cannot run"):
+            SearchSchedule(design, timings, steps)
+
+    def test_query_time_is_not_a_constructor_argument(self):
+        timings = WordTimings().for_design(DesignKind.DG_1T5, 16)
+        with pytest.raises(TypeError):
+            SearchSchedule(DesignKind.DG_1T5, timings, 2, 0.2e-9)
+        assert SearchSchedule(DesignKind.DG_1T5, timings, 2).t_query == 0.1e-9

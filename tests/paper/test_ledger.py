@@ -8,10 +8,19 @@
 * every field of :func:`~fecam.metrics.evaluate` at 64 x 64 for the
   ``paper``, ``analytical`` and ``spice`` fidelities.
 
-The numbers are deterministic; the comparison allows a relative 1e-9
-because another host's libm may differ in the last bits.  A change that
-moves a paper number fails here with an old -> new table; regenerate the
-file on purpose with::
+The comparison allows a relative 1e-6.  On the x86-64 Linux host that
+generated the file (Python 3.11, NumPy 2.4) both kernels,
+``FECAM_KERNEL=compiled`` and ``numpy``, reproduce it exactly.  Another
+NumPy or BLAS build may round the MNA solves differently; to size the
+tolerance for that, every ``np.linalg.solve`` result was scaled by
+``1 + u`` with random ``|u|`` up to 2.2e-7 (five seeds): no step count
+or end time changed, no cell moved by more than 1.9e-9 relative (the
+near-zero ``sa_final`` residuals), and no latency, energy or ``Fom``
+field by more than 6.2e-13.  So 1e-6 leaves a margin of 500 against
+rounding, yet a moved paper number (0.04% and up) fails.
+The other Python versions and NumPy builds that CI installs were not
+run against the file.  A change that moves a paper number fails here
+with an old -> new table; regenerate the file on purpose with::
 
     PYTHONPATH=src python tests/paper/test_ledger.py --write
 
@@ -33,7 +42,7 @@ from fecam.metrics import DesignPoint, clear_registry, evaluate
 
 LEDGER_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "ledger.json")
-REL_TOL = 1e-9
+REL_TOL = 1e-6
 WORD_LENGTHS = (16, 64)
 FIDELITIES = ("paper", "analytical", "spice")
 ABSENT = "<absent>"
