@@ -80,7 +80,7 @@ class TcamArrayCircuit:
         self.design = design
         self.rows = rows
         self.cols = cols
-        self.timings = (timings or WordTimings()).for_design(design, max(cols, 8))
+        self.timings = (timings or WordTimings()).for_design(design, cols)
         self._stored: List[Optional[str]] = [None] * rows
 
     # -- content -----------------------------------------------------------------

@@ -3,23 +3,29 @@ processes over one shared-memory arena.
 
 Topology: this process is the **single writer**.  It owns a
 :class:`~fecam.cluster.shm.SharedArena`, runs a normal
-:class:`~fecam.store.FabricBackend` whose planes live *in* that arena
-(so every mutation lands directly in shared memory), and wraps each
-mutating op in a seqlock publish window::
+:class:`~fecam.store.FabricBackend` whose planes and per-row
+priority/seq/live columns live *in* that arena (so every mutation lands
+directly in shared memory), and wraps each mutating op in a seqlock
+publish window::
 
     seq -> odd                      # readers start spinning/retrying
-    mutate planes in place          # the inner fabric writes
-    write placement metadata blob
+    mutate planes + row columns     # the inner fabric writes in place
     seq -> even, generation += 1    # the new state is published
 
 N **reader** worker processes each attach a
-:class:`~fecam.cluster.replica.Replica` and serve ``search_batch``
-zero-copy; a :class:`~fecam.cluster.ring.HashRing` routes each query to
-its owning worker.  Failure policy: a dead worker is respawned (or,
-with ``respawn=False``, its ring arc rehashes to survivors) and its
-queries retried; a dead writer (fault-injected via the
-``cluster.publish.*`` crash sites) fails all further writes while
-workers keep serving the last published generation.
+:class:`~fecam.cluster.replica.Replica` and search zero-copy.  A burst
+is split into contiguous slices, one per live worker; each answers
+with the matched arena row ids in priority order, and this process
+resolves them to its own published entries (so a cluster result names
+the very :class:`~fecam.store.Match` objects ``get()`` returns).  That
+is sound while no write runs between the workers' search and the
+resolution — the store holds its read lock across a batch search — and
+a reply from any other generation raises :class:`ClusterError`.
+Failure policy: a dead worker is respawned (or, with ``respawn=False``,
+dropped from the live list) and its slice retried; a dead writer
+(fault-injected via the ``cluster.publish.*`` crash sites) fails all
+further writes while workers keep serving the last published
+generation.
 
 Lifecycle hygiene: :meth:`close` stops the workers and unlinks the
 arena files, and a ``weakref.finalize`` guard does the same if the
@@ -29,9 +35,9 @@ either way.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
-import pickle
 import threading
 import weakref
 from collections import deque
@@ -47,16 +53,11 @@ from ..errors import (ClusterError, ClusterWriterFailed, OperationError,
 from ..store.backend import SearchBackend
 from ..store.config import StoreConfig
 from ..store.fabric import FabricBackend
-from ..store.result import Match, Query, QueryResult
-from .replica import WireMatch
-from .ring import HashRing
+from ..store.result import Match, QueryResult
 from .shm import SharedArena
 from .worker import WorkerSpec, worker_main
 
 __all__ = ["ClusterBackend", "resolve_start_method"]
-
-#: Per-query scatter row: (generation, wire match rows, energy, latency).
-Scattered = Tuple[int, List[WireMatch], float, float]
 
 _SEND_RETRIES = 3
 
@@ -225,13 +226,6 @@ class _WorkerHandle:
                 proc.join(timeout)
 
 
-def _placements(backend: FabricBackend) -> List[Tuple[Any, ...]]:
-    """Every entry's placement row, straight off the fabric's one entry
-    map — unsorted, because this runs inside every publish window."""
-    return [(m.key, m.word, m.priority, m.payload, m.seq, m.bank, m.row)
-            for m in backend.fabric._entries.values()]
-
-
 def _finalize_cluster(arena: SharedArena,
                       handles: Dict[int, _WorkerHandle]) -> None:
     """GC/atexit guard: never leak processes or /dev/shm files."""
@@ -282,7 +276,13 @@ class ClusterBackend(SearchBackend):
         # same name so FECAM_SANITIZE=1 instruments shared planes too.
         self.fabric = self.inner.fabric
         ctx = multiprocessing.get_context(self.start_method)
-        self.ring = HashRing(range(workers))
+        #: Worker ids that take slices of a burst (replaced under
+        #: ``_live_lock``, never mutated, when ``respawn=False`` drops a
+        #: failed worker).
+        self.live_workers: List[int] = list(range(workers))
+        self._live_lock = threading.Lock()
+        # Rotates the first slice, so short bursts spread over workers.
+        self._turns = itertools.count()
         self._handles: Dict[int, _WorkerHandle] = {}
         for worker_id in range(workers):
             spec = WorkerSpec(worker_id=worker_id,
@@ -300,10 +300,6 @@ class ClusterBackend(SearchBackend):
         if hook is not None:
             hook(site)
         _fire_crash(self.crash_point, site)
-
-    def _placement_blob(self) -> bytes:
-        return pickle.dumps(_placements(self.inner),
-                            protocol=pickle.HIGHEST_PROTOCOL)
 
     def _mutate(self, fn):
         """Run one mutating op inside a publish window.
@@ -330,7 +326,6 @@ class ClusterBackend(SearchBackend):
             try:
                 out = fn()
                 self._fire("cluster.publish.mid")
-                self.arena.write_meta(self._placement_blob())
                 self._generation += 1
                 self.arena.end_publish(generation=self._generation)
             except SimulatedCrash:
@@ -368,20 +363,17 @@ class ClusterBackend(SearchBackend):
         return self._mutate(
             lambda: self.inner.update(key, word, payload=payload))
 
-    def adopt_snapshot(self, planes_state, placements) -> None:
-        """Load a recovered arena + placements wholesale (one window).
+    def adopt_snapshot(self, planes_state, entries: Sequence[Match]) -> None:
+        """Load a recovered arena and its entries wholesale (one window).
 
-        The durable-recovery seam: ``recover()`` rebuilds a store, its
-        backend's arena serializes to ``planes_state``/``placements``,
-        and this publishes that exact state into the shared arena so
-        every worker observes post-recovery content.
+        The durable-recovery seam: ``recover()`` rebuilds a store, and
+        this publishes its ``(value, care, valid)`` planes and the row
+        columns of its entries into the shared arena, so every worker
+        observes post-recovery content.
         """
         def load():
-            value, care, valid = planes_state
-            self.inner.fabric.arena.load(value, care, valid)
-            for bank in self.inner.fabric.banks:
-                bank.sync_free_rows()
-            self.inner._adopt_placements(placements, write=False)
+            self.inner.fabric.arena.load(*planes_state)
+            self.inner.fabric.adopt_entries(entries, write=False)
         self._mutate(load)
 
     @classmethod
@@ -394,9 +386,8 @@ class ClusterBackend(SearchBackend):
                 "from_store needs a fabric-backed store to adopt")
         arena = src.fabric.arena
         backend = cls(store.config, **kwargs)
-        backend.adopt_snapshot(
-            (arena.value.copy(), arena.care.copy(), arena.valid.copy()),
-            _placements(src))
+        backend.adopt_snapshot((arena.value, arena.care, arena.valid),
+                               src.entries())
         return backend
 
     # -- reads (writer-side bookkeeping) -----------------------------------------
@@ -443,7 +434,8 @@ class ClusterBackend(SearchBackend):
 
     def _handle_failure(self, worker_id: int, hung=None) -> None:
         """A worker failed — died, or went silent (``hung`` is then the
-        process to kill): respawn it in place, or rehash its arc away."""
+        process to kill): respawn it in place, or drop it from
+        :attr:`live_workers`."""
         if self._closed:
             raise WorkerUnavailable("cluster backend is closed")
         handle = self._handles[worker_id]
@@ -452,33 +444,42 @@ class ClusterBackend(SearchBackend):
         else:
             if hung is not None:
                 handle.terminate(kill=True)
-            self.ring.remove(worker_id)
+            with self._live_lock:
+                self.live_workers = [w for w in self.live_workers
+                                     if w != worker_id]
 
     def scatter_search(self, queries: Sequence[str],
-                       mask: Optional[str] = None) -> List[Scattered]:
-        """Route every query to its worker; returns per-query
-        ``(generation, wire_matches, energy, latency)`` rows.
+                       mask: Optional[str] = None
+                       ) -> List[Tuple[int, List[int], float, float]]:
+        """Split the batch over the live workers; returns per-query
+        ``(generation, rows, energy, latency)``, ``rows`` the matched
+        arena row ids in priority order.
 
-        One round sends each worker its arc of the batch and pairs the
-        responses; queries stranded by a death — or by a worker that
-        stays silent past ``read_timeout + REPLY_SLACK_S`` and is killed
-        for it — are re-partitioned (over the respawned worker, or the
-        shrunken ring) and retried.  Rounds running out raises
-        :class:`WorkerUnavailable`, never a bare timeout.
+        One round sends each live worker a contiguous slice of the
+        outstanding queries and pairs the responses; queries stranded by
+        a death — or by a worker that stays silent past ``read_timeout +
+        REPLY_SLACK_S`` and is killed for it — are split again (over the
+        respawned worker, or the survivors) and retried.  Rounds running
+        out raises :class:`WorkerUnavailable`, never a bare timeout.
         """
         queries = list(queries)
-        out: List[Optional[Scattered]] = [None] * len(queries)
+        out: List[Any] = [None] * len(queries)
         remaining = list(range(len(queries)))
         for attempt in range(_SEND_RETRIES + 1):
             if not remaining:
                 break
-            if not self.ring.nodes:
+            live = self.live_workers
+            if not live:
                 raise WorkerUnavailable("no cluster workers remain")
-            groups = self.ring.partition([queries[i] for i in remaining])
+            turn = next(self._turns) % len(live)
+            live = live[turn:] + live[:turn]
             in_flight = []
             stranded: List[int] = []
-            for worker_id, positions in groups:
-                indices = [remaining[p] for p in positions]
+            n, k = len(remaining), len(live)
+            for w, worker_id in enumerate(live):
+                indices = remaining[n * w // k:n * (w + 1) // k]
+                if not indices:
+                    continue
                 handle = self._handles[worker_id]
                 process = handle.process
                 try:
@@ -503,28 +504,40 @@ class ClusterBackend(SearchBackend):
                     continue
                 if msg[0] == "error":
                     raise _map_worker_error(msg[1], msg[2])
-                _, generation, matches, energies, latencies = msg
+                _, generation, rows, offsets, energies, latencies = msg
                 for j, i in enumerate(indices):
-                    out[i] = (generation, matches[j], energies[j],
-                              latencies[j])
+                    out[i] = (generation, rows[offsets[j]:offsets[j + 1]],
+                              energies[j], latencies[j])
             remaining = stranded
         if remaining:
             raise WorkerUnavailable(
                 f"{len(remaining)} queries undeliverable after "
                 f"{_SEND_RETRIES + 1} scatter rounds")
-        return out  # type: ignore[return-value]
+        return out
 
     def search_batch(self, queries: Sequence[str],
                      mask: Optional[str] = None) -> List[QueryResult]:
+        """Scatter, then resolve the workers' rows to this process's
+        published entries.  Raises :class:`ClusterError` if a write
+        could have moved those entries since the workers searched."""
         queries = list(queries)
         if not queries:
             return []
-        # Positional builds: wire rows are in Match field order, and
-        # keyword construction costs the burst door ~3x more per Match.
-        return [QueryResult(Query(bits, mask),
-                            [Match(*row) for row in rows], energy, latency)
-                for bits, (_, rows, energy, latency)
-                in zip(queries, self.scatter_search(queries, mask))]
+        generations, hits, energies, latencies = zip(
+            *self.scatter_search(queries, mask))
+        batch = self.fabric.hydrate(
+            queries, mask, list(itertools.chain.from_iterable(hits)),
+            [0, *itertools.accumulate(map(len, hits))])
+        # Checked after resolving: a write since the workers searched
+        # has moved the generation, or still holds the window open.
+        arena = self.arena
+        if arena.seq & 1 or set(generations) != {arena.generation}:
+            raise ClusterError(
+                f"workers answered at generation(s) "
+                f"{sorted(set(generations))}, but generation "
+                f"{arena.generation} is published (seq {arena.seq}): "
+                "search the cluster under the store's read lock")
+        return batch.results(energies, latencies)
 
     # -- worker telemetry --------------------------------------------------------
 

@@ -8,8 +8,11 @@ excluded, the generation every worker serves under its seqlock.
 
 ``search_many`` scatters a plain-string burst on the caller's thread:
 the kernel runs in the workers, so the one dispatcher thread would only
-serialise parent-side work and keep one scatter in flight.  Its results
-are frozen like the dispatcher's (a copy of each match list), and its
+serialise parent-side work and keep one scatter in flight.  The workers
+answer with arena rows, which the store resolves to its published
+entries under the same read lock, so every door returns the objects
+``get()`` does.  Results are frozen like the dispatcher's (a copy of
+each match list), and its
 ``timeout`` does not bound the scatter: the workers' ``read_timeout``
 rounds do.  Bursts of :class:`~fecam.store.Query` objects (per-query
 masks) still go through the dispatcher, which groups them by mask.
@@ -37,7 +40,7 @@ __all__ = ["ClusterService"]
 
 
 class ClusterService(SearchService):
-    """Consistent-hash front end over one writer + N reader processes.
+    """Service front end over one writer + N reader processes.
 
     Builds and owns a :class:`ClusterBackend` store from ``config``, or
     fronts a given cluster ``store`` (owned only if ``owns_backend``).

@@ -1,16 +1,18 @@
 """Shared-memory planes arena with seqlock publication.
 
 One mmap-backed file holds the whole fabric arena — the same three
-bitplanes :class:`~fecam.planes.TernaryPlanes` always owns, laid out
-after a fixed header — so any number of reader processes attach
-zero-copy ndarray views over the very bytes the single writer mutates.
+bitplanes :class:`~fecam.planes.TernaryPlanes` always owns, plus the
+fabric's per-row priority/seq/live columns, laid out after a fixed
+header — so any number of reader processes attach zero-copy ndarray
+views over the very bytes the single writer mutates.
 
-Layout (``arena.bin``)::
+Layout (``arena.bin``; ``rows`` entries per column)::
 
-    [ 4 KiB header | value (rows x chunks u64) | care | valid (bool) ]
+    [ 4 KiB header | value (rows x chunks u64) | care
+      | priority (f64) | seq (i64) | valid (bool) | live (bool) ]
 
 The header's ``seq`` word is a classic seqlock: the writer bumps it
-odd before touching planes or metadata, even after everything —
+odd before touching planes or columns, even after everything —
 including the published ``generation`` — is in place.  Readers snapshot
 ``seq`` (spinning while odd), run their search, and re-check: a changed
 word means the window was torn and the attempt is discarded and
@@ -18,10 +20,9 @@ retried.  A window that never closes (writer died mid-mutation) turns
 into a typed :class:`~fecam.errors.WorkerUnavailable` timeout instead
 of a torn result.
 
-Entry placements (key/word/priority/payload/seq/bank/row) ride in a
-sibling ``meta.bin`` read with ``pread``/``pwrite`` — the blob can grow
-without any remapping, and because ``meta_len`` only moves inside a
-publish window, the seqlock covers it exactly like the planes.
+The entries themselves (key, word, payload) never enter the arena:
+a reader answers with arena row ids, and the writer's process resolves
+them.
 
 Files live in a private directory under tmpfs (``/dev/shm``) when
 available; :meth:`SharedArena.unlink` removes the directory wholesale,
@@ -41,7 +42,7 @@ import os
 import shutil
 import tempfile
 import time
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -52,16 +53,20 @@ __all__ = ["SharedArena", "default_shm_dir"]
 
 _T = TypeVar("_T")
 
-_MAGIC = int.from_bytes(b"FECAMSH1", "little")
+_MAGIC = int.from_bytes(b"FECAMSH2", "little")
 _HEADER_BYTES = 4096
 # uint64 slot indices into the header.
-_H_MAGIC, _H_ROWS, _H_CHUNKS, _H_WIDTH, _H_SEQ, _H_GEN, _H_META = range(7)
+_H_MAGIC, _H_ROWS, _H_CHUNKS, _H_WIDTH, _H_SEQ, _H_GEN = range(6)
 
 _ARENA_FILE = "arena.bin"
-_META_FILE = "meta.bin"
 
 #: Reader backoff while a publish window is open / after a torn attempt.
 _RETRY_SLEEP_S = 0.0002
+
+
+def _arena_bytes(rows: int, chunks: int) -> int:
+    # Per row: value + care chunks, priority + seq, valid + live.
+    return _HEADER_BYTES + rows * (16 * chunks + 16 + 2)
 
 
 def default_shm_dir() -> str:
@@ -88,11 +93,9 @@ class SharedArena:
         self.n_chunks = 0
         self._mm: Optional[mmap.mmap] = None
         self._arena_fd = -1
-        self._meta_fd = -1
         self._header: Optional[np.ndarray] = None
-        self._value: Optional[np.ndarray] = None
-        self._care: Optional[np.ndarray] = None
-        self._valid: Optional[np.ndarray] = None
+        # value, care, priority, seq, valid, live: the file order.
+        self._views: Optional[Tuple[np.ndarray, ...]] = None
 
     # -- construction ------------------------------------------------------------
 
@@ -106,13 +109,9 @@ class SharedArena:
         self.directory = tempfile.mkdtemp(
             prefix="fecam-cluster-", dir=base_dir or default_shm_dir())
         chunks = n_chunks_for(width)
-        plane_bytes = rows * chunks * 8
-        total = _HEADER_BYTES + 2 * plane_bytes + rows
         self._arena_fd = os.open(os.path.join(self.directory, _ARENA_FILE),
                                  os.O_RDWR | os.O_CREAT, 0o600)
-        os.ftruncate(self._arena_fd, total)
-        self._meta_fd = os.open(os.path.join(self.directory, _META_FILE),
-                                os.O_RDWR | os.O_CREAT, 0o600)
+        os.ftruncate(self._arena_fd, _arena_bytes(rows, chunks))
         self._map(rows, chunks, width)
         header = self._header
         assert header is not None
@@ -121,7 +120,6 @@ class SharedArena:
         header[_H_WIDTH] = width
         header[_H_SEQ] = 0
         header[_H_GEN] = 0
-        header[_H_META] = 0
         # Magic last: an attacher that sees it knows the geometry words
         # before it are final.
         header[_H_MAGIC] = _MAGIC
@@ -157,41 +155,43 @@ class SharedArena:
                     f"within {timeout:.1f}s")
             time.sleep(0.005)
         self._arena_fd = fd
-        head_words = np.frombuffer(head, dtype=np.uint64, count=7)
+        head_words = np.frombuffer(head, dtype=np.uint64, count=6)
         rows = int(head_words[_H_ROWS])
         chunks = int(head_words[_H_CHUNKS])
         width = int(head_words[_H_WIDTH])
-        self._meta_fd = os.open(os.path.join(directory, _META_FILE),
-                                os.O_RDWR)
         self._map(rows, chunks, width)
         return self
 
     def _map(self, rows: int, chunks: int, width: int) -> None:
-        plane_bytes = rows * chunks * 8
-        total = _HEADER_BYTES + 2 * plane_bytes + rows
-        mm = mmap.mmap(self._arena_fd, total)  # MAP_SHARED by default
-        self._mm = mm
+        mm = mmap.mmap(self._arena_fd, _arena_bytes(rows, chunks))
+        self._mm = mm  # MAP_SHARED by default
         self._header = np.frombuffer(mm, dtype=np.uint64,
                                      count=_HEADER_BYTES // 8)
-        self._value = np.frombuffer(
-            mm, dtype=np.uint64, count=rows * chunks,
-            offset=_HEADER_BYTES).reshape(rows, chunks)
-        self._care = np.frombuffer(
-            mm, dtype=np.uint64, count=rows * chunks,
-            offset=_HEADER_BYTES + plane_bytes).reshape(rows, chunks)
-        self._valid = np.frombuffer(
-            mm, dtype=np.bool_, count=rows,
-            offset=_HEADER_BYTES + 2 * plane_bytes)
+        views = []
+        offset = _HEADER_BYTES
+        # The 8-byte regions first, so every region starts aligned.
+        for dtype, count in ((np.uint64, rows * chunks),
+                             (np.uint64, rows * chunks), (np.float64, rows),
+                             (np.int64, rows), (np.bool_, rows),
+                             (np.bool_, rows)):
+            views.append(np.frombuffer(mm, dtype=dtype, count=count,
+                                       offset=offset))
+            offset += views[-1].nbytes
+        value, care, *columns = views
+        self._views = (value.reshape(rows, chunks),
+                       care.reshape(rows, chunks), *columns)
         self.rows = rows
         self.n_chunks = chunks
         self.width = width
 
     def planes(self) -> TernaryPlanes:
-        """Planes constructed *over* the shared mapping (zero-copy)."""
-        if self._value is None:
+        """Planes constructed *over* the shared mapping (zero-copy),
+        carrying the shared priority/seq/live row columns."""
+        if self._views is None:
             raise OperationError("arena is closed")
-        return TernaryPlanes.over(self._value, self._care, self._valid,
-                                  width=self.width)
+        value, care, priority, seq, valid, live = self._views
+        return TernaryPlanes.over(value, care, valid, width=self.width,
+                                  row_columns=(priority, seq, live))
 
     # -- seqlock words -----------------------------------------------------------
 
@@ -204,11 +204,6 @@ class SharedArena:
     def generation(self) -> int:
         assert self._header is not None
         return int(self._header[_H_GEN])
-
-    @property
-    def meta_len(self) -> int:
-        assert self._header is not None
-        return int(self._header[_H_META])
 
     # -- writer protocol ---------------------------------------------------------
 
@@ -232,21 +227,6 @@ class SharedArena:
         if generation is not None:
             self._header[_H_GEN] = generation
         self._header[_H_SEQ] = seq + 1
-
-    def write_meta(self, blob: bytes) -> None:
-        """Store the placement blob (writer, inside the window only —
-        ``meta_len`` moving outside a window would defeat the seqlock)."""
-        assert self._header is not None
-        if not int(self._header[_H_SEQ]) & 1:
-            raise OperationError("write_meta outside a publish window")
-        os.pwrite(self._meta_fd, blob, 0)
-        self._header[_H_META] = len(blob)
-
-    def read_meta(self) -> bytes:
-        n = self.meta_len
-        if n == 0:
-            return b""
-        return os.pread(self._meta_fd, n, 0)
 
     # -- reader protocol ---------------------------------------------------------
 
@@ -301,7 +281,7 @@ class SharedArena:
         until they die; the mmap handle itself then closes lazily.
         """
         self._header = None
-        self._value = self._care = self._valid = None
+        self._views = None
         if self._mm is not None:
             try:
                 self._mm.close()
@@ -310,14 +290,12 @@ class SharedArena:
                 # frees the pages when the last reference dies.
                 pass
             self._mm = None
-        for attr in ("_arena_fd", "_meta_fd"):
-            fd = getattr(self, attr)
-            if fd >= 0:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-                setattr(self, attr, -1)
+        if self._arena_fd >= 0:
+            try:
+                os.close(self._arena_fd)
+            except OSError:
+                pass
+            self._arena_fd = -1
 
     def unlink(self) -> None:
         """Remove the backing files (owner only; idempotent).

@@ -7,9 +7,10 @@ request/response in FIFO order, which is what lets the parent pipeline
 requests and pair responses without per-message ids:
 
 ``("search", queries, mask)``
-    → ``("ok", generation, matches, energies, latencies)`` where
-    ``matches[i]`` is a list of wire rows (see
-    :data:`~fecam.cluster.replica.WireMatch`).
+    → ``("ok", generation, rows, offsets, energies, latencies)``, flat
+    lists of matched arena rows in priority order (see
+    :meth:`~fecam.cluster.replica.Replica.serve_search`).  No entry
+    crosses the pipe; the parent resolves the rows.
 ``("stats",)``  → ``("ok", telemetry_dict)``
 ``("ping",)``   → ``("ok", pid)``
 ``("stop",)``   → ``("ok",)`` and the worker exits.
@@ -67,10 +68,7 @@ def worker_main(spec: WorkerSpec, conn: Any) -> None:
             try:
                 if op == "search":
                     _, queries, mask = msg
-                    generation, matches, energies, latencies = \
-                        replica.serve_search(queries, mask)
-                    reply = ("ok", generation, matches, energies,
-                             latencies)
+                    reply = ("ok", *replica.serve_search(queries, mask))
                 elif op == "stats":
                     reply = ("ok", replica.telemetry())
                 elif op == "ping":

@@ -158,14 +158,19 @@ class TcamFabric:
         self._entries: Dict[Hashable, Match] = {}
         # Per-arena-row columns of the live entries (bank b's row r is
         # arena row b * rows_per_bank + r), written by _index_rows and
-        # delete: a batch search resolves and priority-orders its
-        # matches from them in NumPy.  A row can be valid in the planes
-        # without an entry (a bank written directly); _row_live says.
+        # delete: a batch search priority-orders its matches from them
+        # in NumPy and resolves them to entries.  A row can be valid in
+        # the planes without an entry (a bank written directly);
+        # _row_live says.  Planes over shared memory bring the
+        # priority/seq/live columns along (`fecam.cluster` workers
+        # order from them), so they are only ever written in place.
         capacity = banks * rows_per_bank
         self._row_entry = np.full(capacity, None, dtype=object)
-        self._row_priority = np.zeros(capacity, dtype=np.float64)
-        self._row_seq = np.zeros(capacity, dtype=np.int64)
-        self._row_live = np.zeros(capacity, dtype=bool)
+        self._row_priority, self._row_seq, self._row_live = \
+            self.arena.row_columns or (
+                np.zeros(capacity, dtype=np.float64),
+                np.zeros(capacity, dtype=np.int64),
+                np.zeros(capacity, dtype=bool))
         self._seq = 0
         self._searches = 0
         self._worst_latency = 0.0
@@ -251,23 +256,6 @@ class TcamFabric:
         self._row_seq[rows] = np.fromiter(
             (entry.seq for entry in entries), dtype=np.int64, count=n)
         self._row_live[rows] = True
-
-    def load_entries(self, entries: Sequence[Match]) -> None:
-        """Replace the entry table with entries the arena already holds,
-        leaving the banks' free pools alone — how a read-only cluster
-        replica takes each published placement table, and where
-        :meth:`adopt_entries` ends."""
-        table: Dict[Hashable, Match] = {}
-        for entry in entries:
-            if entry.key in table:
-                raise OperationError(
-                    f"duplicate key {entry.key!r} in adopted entries")
-            table[entry.key] = entry
-        self._entries = table
-        self._row_entry[:] = None
-        self._row_live[:] = False
-        self._index_rows(entries)
-        self._seq = 1 + max((entry.seq for entry in entries), default=-1)
 
     def _resolve_bank(self, key: Hashable, bank: Optional[int]) -> int:
         if bank is None:
@@ -392,6 +380,12 @@ class TcamFabric:
         if self._entries:
             raise OperationError(
                 "adopt_entries needs a fresh (empty) fabric")
+        table: Dict[Hashable, Match] = {}
+        for entry in entries:
+            if entry.key in table:
+                raise OperationError(
+                    f"duplicate key {entry.key!r} in adopted entries")
+            table[entry.key] = entry
         if write:
             words = [entry.word for entry in entries]
             value, care = pack_words(words, self.width)
@@ -410,7 +404,9 @@ class TcamFabric:
         else:
             for bank in self.banks:
                 bank.sync_free_rows()
-        self.load_entries(entries)
+        self._entries = table
+        self._index_rows(entries)
+        self._seq = 1 + max((entry.seq for entry in entries), default=-1)
 
     def delete(self, key: Hashable) -> Match:
         """Remove an entry; its row returns to the bank's free pool."""
@@ -506,11 +502,27 @@ class TcamFabric:
                           mask: Optional[str] = None) -> List[QueryResult]:
         """:meth:`search_batch` for queries already through
         :func:`~fecam.fabric.batch.normalize_queries`, so a caller that
-        validated them (the store) does not pay twice.  One fused kernel
-        pass, then :meth:`_account` and :meth:`_collect`; the results
-        are views over the columnar batch."""
+        validated them (the store) does not pay twice:
+        :meth:`search_rows`, then :meth:`hydrate`; the results are views
+        over the columnar batch."""
         if not queries:
             return []
+        rows, offsets, energy, latency = self.search_rows(queries, mask)
+        return self.hydrate(queries, mask, rows, offsets).results(
+            energy, latency)
+
+    @hot_path
+    def search_rows(self, queries: List[str], mask: Optional[str] = None
+                    ) -> Tuple[np.ndarray, List[int], List[float],
+                               List[float]]:
+        """A batch search up to matched arena rows: one fused kernel
+        pass, :meth:`_account`, then the priority-encoder order.
+
+        Returns ``(rows, offsets, energy, latency)``: query ``i``
+        matched ``rows[offsets[i]:offsets[i + 1]]``, best first.  Reads
+        the planes and the per-row columns, never an entry — which is
+        what lets a `fecam.cluster` worker run it over the shared arena.
+        """
         mask_bits = (self.banks[0].cam.pack_mask(mask)
                      if mask is not None else None)
         n_q = len(queries)
@@ -528,14 +540,21 @@ class TcamFabric:
         targets = trace_active()
         merge_start = time.perf_counter() if targets else 0.0
         energy, latency = self._account(counts, n_q)
-        results = self._collect(queries, mask, counts, n_q).results(
-            energy, latency)
+        rows, offsets = self._order(counts, n_q)
         if targets:
-            # Everything after the fused kernel: pricing, bank counters,
-            # priority-encoder ordering and the result views.
+            # Everything after the fused kernel: pricing, bank counters
+            # and priority-encoder ordering.
             record_span(targets, "fabric.merge", merge_start,
                         time.perf_counter(), queries=n_q)
-        return results
+        return rows, offsets, energy, latency
+
+    def hydrate(self, queries: List[str], mask: Optional[str],
+                rows: Sequence[int], offsets: List[int]) -> BatchMatches:
+        """Resolve :meth:`search_rows` output to the entries the rows
+        hold now — the ones the search saw as long as no write ran in
+        between (the store's read lock, which a batch search holds)."""
+        return BatchMatches(queries, mask, self._row_entry[rows].tolist(),
+                            offsets)
 
     @hot_path
     def _account(self, counts: FusedBatchCounts, n_q: int
@@ -576,9 +595,10 @@ class TcamFabric:
                 latency.tolist())
 
     @hot_path
-    def _collect(self, queries: List[str], mask: Optional[str],
-                 counts: FusedBatchCounts, n_q: int) -> BatchMatches:
-        """Resolve matched arena rows to entries in priority order.
+    def _order(self, counts: FusedBatchCounts, n_q: int
+               ) -> Tuple[np.ndarray, List[int]]:
+        """Matched live arena rows in priority order, with per-query
+        offsets.
 
         The kernel's pairs come grouped by query, rows ascending; one
         stable ``lexsort`` on (query, priority, seq) is each query's
@@ -593,8 +613,7 @@ class TcamFabric:
                                 self._row_priority[rows], match_q))]
         offsets = np.zeros(n_q + 1, dtype=np.intp)
         np.cumsum(np.bincount(match_q, minlength=n_q), out=offsets[1:])
-        return BatchMatches(queries, mask, self._row_entry[rows].tolist(),
-                            offsets.tolist())
+        return rows, offsets.tolist()
 
     # -- telemetry ---------------------------------------------------------------
 

@@ -185,8 +185,8 @@ class BatchMatches:
         self.offsets = offsets
         self.keys: Optional[List[Hashable]] = None
 
-    def results(self, energies: List[float],
-                latencies: List[float]) -> List[QueryResult]:
+    def results(self, energies: Sequence[float],
+                latencies: Sequence[float]) -> List[QueryResult]:
         """One :class:`QueryResult` view per query, in batch order."""
         n = len(self.bits)
         return list(map(_BatchView, repeat(self, n), range(n), energies,

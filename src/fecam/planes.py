@@ -242,6 +242,8 @@ class TernaryPlanes:
         else:
             self.value, self.care, self.valid = _storage
         self._parent = _parent
+        #: Shared per-row columns, if :meth:`over` was given them.
+        self.row_columns: Optional[Tuple[np.ndarray, ...]] = None
         self.generation = 0
         # [unmasked, masked] memo slots, each None or [generation,
         # mask bytes or None, derived, index | None | _UNBUILT].
@@ -249,7 +251,9 @@ class TernaryPlanes:
 
     @classmethod
     def over(cls, value: np.ndarray, care: np.ndarray,
-             valid: np.ndarray, *, width: int) -> "TernaryPlanes":
+             valid: np.ndarray, *, width: int,
+             row_columns: Optional[Tuple[np.ndarray, ...]] = None
+             ) -> "TernaryPlanes":
         """Construct planes *over* caller-owned buffers (zero-copy).
 
         The arena-allocation seam for `fecam.cluster`: the caller maps
@@ -261,7 +265,11 @@ class TernaryPlanes:
         The buffers must already have the canonical layout:
         ``value``/``care`` of shape ``(rows, n_chunks_for(width))``
         dtype uint64, ``valid`` of shape ``(rows,)`` dtype bool.
-        Ownership stays with the caller (nothing here unmaps or frees).
+        ``row_columns`` — ``(rows,)`` float64 priority, int64 seq and
+        bool live — are where a :class:`~fecam.fabric.TcamFabric` built
+        on these planes keeps its entries' order, so readers can
+        priority-order matches without the entries.  Ownership stays
+        with the caller (nothing here unmaps or frees).
         """
         value = np.asarray(value)
         care = np.asarray(care)
@@ -283,7 +291,14 @@ class TernaryPlanes:
             raise OperationError(
                 f"width {width} needs {n_chunks_for(width)} chunks per "
                 f"row, buffers have {chunks}")
-        return cls(rows, width, _storage=(value, care, valid))
+        planes = cls(rows, width, _storage=(value, care, valid))
+        if row_columns is not None:
+            if [(c.shape, c.dtype) for c in row_columns] != [
+                    ((rows,), np.dtype(d)) for d in (float, np.int64, bool)]:
+                raise OperationError(f"row columns must be ({rows},) "
+                                     "float64, int64 and bool arrays")
+            planes.row_columns = row_columns
+        return planes
 
     @property
     def even_mask(self) -> np.ndarray:

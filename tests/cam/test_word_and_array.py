@@ -152,15 +152,18 @@ class TestArrayCircuit:
         full = arr.search(query)
         assert word.matched == full.matches[0] == ternary_match(stored, query)
 
+    @pytest.mark.parametrize("bits", [4, 16])
     @pytest.mark.parametrize("design,scenario", ARRAY_SCENARIOS,
                              ids=lambda v: getattr(v, "name", v))
-    def test_array_of_word_rows_prices_four_words(self, design, scenario):
+    def test_array_of_word_rows_prices_four_words(self, design, scenario,
+                                                  bits):
         """A 4-row array whose every row is one word scenario is four of
         that word: the word model's multiplier reduction and its 1/M
-        column-line share are exact, in energy and per-row latency."""
-        stored, query = scenario_content(design, 16, scenario)
-        word = simulate_word_search(design, 16, scenario)
-        arr = TcamArrayCircuit(design, rows=4, cols=16)
+        column-line share are exact, in energy and per-row latency.  At
+        4 bits both plan their timings for the same width."""
+        stored, query = scenario_content(design, bits, scenario)
+        word = simulate_word_search(design, bits, scenario)
+        arr = TcamArrayCircuit(design, rows=4, cols=bits)
         for row in range(4):
             arr.program(row, stored)
         full = arr.search(query)

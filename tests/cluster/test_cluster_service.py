@@ -17,9 +17,9 @@ import fecam.cluster
 from fecam.cluster import ClusterBackend, ClusterService
 from fecam.cluster import backend as cluster_backend
 from fecam.durable.crash import CrashPoint
-from fecam.errors import (ClusterWriterFailed, OperationError, ServiceClosed,
-                          SimulatedCrash, TernaryValueError,
-                          WorkerUnavailable)
+from fecam.errors import (ClusterError, ClusterWriterFailed,
+                          OperationError, ServiceClosed, SimulatedCrash,
+                          TernaryValueError, WorkerUnavailable)
 from fecam.obs import MetricsRegistry
 from fecam.obs.adapters import instrument
 from fecam.service import ServedResult
@@ -212,6 +212,38 @@ class TestServingParity:
         assert service.read(lambda store: store.generation) == before + 1
 
 
+class TestStaleReplies:
+    def test_write_between_replies_and_resolution_raises_typed(
+            self, monkeypatch):
+        """Workers answer with arena rows, which the writer resolves to
+        entries.  Called with no lock, a write can land in between (here
+        a delete, then an insert reusing the freed row): the backend
+        must raise, never hand back an entry from another generation."""
+        backend = ClusterBackend(make_config(banks=1), workers=1)
+        try:
+            backend.insert_many(WORDS, KEYS, [0.0] * len(WORDS),
+                                [None] * len(WORDS), list(range(len(WORDS))))
+            old = backend.get("a")
+            scatter = backend.scatter_search
+
+            def scatter_then_write(queries, mask=None):
+                replies = scatter(queries, mask)
+                backend.delete("a")
+                new = backend.insert("111111111111", "z", 0.0, None, 99)
+                assert (new.bank, new.row) == (old.bank, old.row)
+                return replies
+
+            monkeypatch.setattr(backend, "scatter_search",
+                                scatter_then_write)
+            with pytest.raises(ClusterError, match="read lock"):
+                backend.search_batch(PROBES)
+            monkeypatch.undo()
+            (result,) = backend.search_batch([PROBES[0]])
+            assert result.match_keys == ["b", "f"]
+        finally:
+            backend.close()
+
+
 class TestWorkerDeath:
     def test_killed_worker_respawns_transparently(self, service):
         service.insert_many(WORDS, keys=KEYS)
@@ -234,7 +266,7 @@ class TestWorkerDeath:
             after = service.search_many(PROBES)
             assert [r.match_keys for r in after] == \
                 [r.match_keys for r in before]
-            assert service.backend.ring.nodes == [1]
+            assert service.backend.live_workers == [1]
 
     def test_all_workers_dead_without_respawn_raises_typed(
             self, cluster_config):
@@ -279,7 +311,7 @@ class TestWorkerHang:
             monkeypatch.setattr(cluster_backend, "REPLY_SLACK_S", 0.5)
             monkeypatch.setattr(cluster_backend._WorkerHandle, "respawn",
                                 respawn_then_wait_normally)
-            hung_id = backend.ring.partition(PROBES)[0][0]
+            hung_id = backend.live_workers[0]
             hung = stop_worker(service, hung_id)
             after = backend.scatter_search(PROBES)
             assert [row[1] for row in after] == [row[1] for row in before]
@@ -300,7 +332,7 @@ class TestWorkerHang:
             first = stop_worker(service, 0)
             after = backend.scatter_search(PROBES)
             assert [row[1] for row in after] == [row[1] for row in before]
-            assert backend.ring.nodes == [1] and not first.is_alive()
+            assert backend.live_workers == [1] and not first.is_alive()
             stop_worker(service, 1)
             with pytest.raises(WorkerUnavailable):
                 backend.scatter_search(PROBES)
@@ -328,7 +360,7 @@ class TestWorkerHang:
                 return scatter(queries, mask)
 
             monkeypatch.setattr(backend, "scatter_search", observed_scatter)
-            stop_worker(service, backend.ring.partition(PROBES)[0][0])
+            stop_worker(service, backend.live_workers[0])
             burst = []
             reader = threading.Thread(
                 target=lambda: burst.extend(service.search_many(PROBES)))
@@ -341,7 +373,7 @@ class TestWorkerHang:
             bound = ((cluster_backend._SEND_RETRIES + 1) * workers
                      * (read_timeout + slack))
             assert read_timeout + slack <= waited < bound
-            assert len(backend.ring.nodes) == workers - 1
+            assert len(backend.live_workers) == workers - 1
             assert [r.generation for r in burst] == [before] * len(PROBES)
             assert "a" in burst[0].match_keys
             assert service.read(lambda store: store.generation) == before + 1

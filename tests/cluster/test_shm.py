@@ -16,6 +16,9 @@ import pytest
 
 from fecam.cluster import SharedArena, default_shm_dir
 from fecam.errors import OperationError, WorkerUnavailable
+from fecam.fabric import TcamFabric
+
+from cluster_utils import fast_model
 
 
 @pytest.fixture
@@ -96,16 +99,36 @@ class TestPublishProtocol:
         with pytest.raises(OperationError):
             arena.end_publish()
 
-    def test_meta_only_moves_inside_a_window(self, arena):
-        with pytest.raises(OperationError):
-            arena.write_meta(b"outside")
-        arena.begin_publish()
-        arena.write_meta(b"hello-placements")
-        arena.end_publish(generation=1)
-        assert arena.read_meta() == b"hello-placements"
+    def test_row_columns_ride_the_window(self, arena):
+        """The fabric keeps its priority/seq/live columns in the arena:
+        what the writer sets inside a window an attached reader sees,
+        and a read that straddles a window retries — it never returns
+        columns from the middle of one."""
+        fabric = TcamFabric(banks=2, rows_per_bank=4, width=8,
+                            energy_model=fast_model(8),
+                            arena=arena.planes())
         reader = SharedArena.attach(arena.directory)
         try:
-            assert reader.read_meta() == b"hello-placements"
+            priority, seq, live = reader.planes().row_columns
+            arena.begin_publish()
+            entry = fabric.insert("1010XXXX", key="a", priority=2.5, seq=7)
+            arena.end_publish(generation=1)
+            row = entry.bank * 4 + entry.row
+            assert (priority[row], seq[row], live[row]) == (2.5, 7, True)
+
+            attempts = []
+
+            def read():
+                attempts.append(1)
+                observed = bool(live[row])
+                if len(attempts) == 1:  # a delete lands mid-read
+                    arena.begin_publish()
+                    fabric.delete("a")
+                    arena.end_publish(generation=2)
+                return observed
+
+            assert reader.read_consistent(read) is False
+            assert len(attempts) == 2
         finally:
             reader.close()
 

@@ -44,11 +44,17 @@ def replica(backend):
     arena.close()
 
 
-def serve(replica, probe=PROBE, timeout=None):
+def writer_keys(backend, rows):
+    """Keys of the writer's entries in arena ``rows`` (a worker answers
+    with rows; the writer resolves them)."""
+    return [backend.fabric._row_entry[row].key for row in rows]
+
+
+def serve(backend, replica, probe=PROBE, timeout=None):
     if timeout is not None:
         replica.read_timeout = timeout
-    generation, matches, _, _ = replica.serve_search([probe], None)
-    return generation, [key for key, *_ in matches[0]]
+    generation, rows, _, _, _ = replica.serve_search([probe], None)
+    return generation, writer_keys(backend, rows)
 
 
 class TestStalledWriter:
@@ -77,7 +83,7 @@ class TestStalledWriter:
         assert backend.arena.seq % 2 == 1
         timer = threading.Timer(0.1, release.set)
         timer.start()
-        generation, keys = serve(replica)
+        generation, keys = serve(backend, replica)
         writer.join()
         timer.join()
         assert generation == 2
@@ -86,7 +92,7 @@ class TestStalledWriter:
     def test_read_before_the_window_sees_the_old_state(
             self, backend, replica):
         backend.insert("1010XXXXXXXX", "a", 0.0, None, 0)
-        generation, keys = serve(replica)
+        generation, keys = serve(backend, replica)
         assert generation == 1 and keys == ["a"]
 
     def test_publish_during_read_retries_with_fresh_caches(
@@ -95,7 +101,7 @@ class TestStalledWriter:
         must bust its derived/step1 memos and retry — stale memos over
         new planes are exactly the silent-wrong-answer failure mode."""
         backend.insert("1010XXXXXXXX", "a", 0.0, None, 0)
-        serve(replica)  # warm the replica's memos at generation 1
+        serve(backend, replica)  # warm the replica's memos at generation 1
         fired = []
         real_refresh = replica._refresh
 
@@ -107,7 +113,7 @@ class TestStalledWriter:
             return generation
 
         replica._refresh = racing_refresh
-        generation, keys = serve(replica)
+        generation, keys = serve(backend, replica)
         assert generation == 2
         assert keys == ["a", "b"]
 
@@ -124,7 +130,7 @@ class TestDeadWriter:
         assert backend.writer_failed
         assert backend.arena.seq % 2 == 1  # wedged open
         with pytest.raises(WorkerUnavailable, match="never closed"):
-            serve(replica, timeout=0.3)
+            serve(backend, replica, timeout=0.3)
 
     def test_crash_before_window_leaves_reads_serving(
             self, backend, replica):
@@ -133,7 +139,7 @@ class TestDeadWriter:
         with pytest.raises(SimulatedCrash):
             backend.insert("10101111XXXX", "b", 1.0, None, 1)
         assert backend.arena.seq % 2 == 0  # never opened
-        generation, keys = serve(replica)
+        generation, keys = serve(backend, replica)
         assert generation == 1 and keys == ["a"]
 
     def test_crash_after_publish_keeps_the_new_generation(
@@ -144,26 +150,27 @@ class TestDeadWriter:
             backend.insert("10101111XXXX", "b", 1.0, None, 1)
         assert backend.writer_failed
         assert backend.arena.seq % 2 == 0  # published, then died
-        generation, keys = serve(replica)
+        generation, keys = serve(backend, replica)
         assert generation == 2 and keys == ["a", "b"]
 
 
 class TestResultsAcrossAPublish:
     def test_earlier_results_keep_their_entries(self):
-        """A replica re-reads the placement table on every publish; a
-        result computed before the publish still names the entry that
-        sat in the row when it searched, not the one reusing it now."""
+        """Workers answer with rows, which the writer resolves to its
+        published entries; a result computed before a publish still
+        names the entry that sat in the row when it searched, not the
+        one reusing it now."""
         backend = ClusterBackend(make_config(banks=1), workers=1)
         arena = SharedArena.attach(backend.arena.directory)
         try:
             replica = Replica(arena, backend.config, read_timeout=5.0)
             old = backend.insert("1010XXXXXXXX", "a", 0.0, None, 0)
-            assert serve(replica) == (1, ["a"])
-            earlier = replica.fabric.search_batch([PROBE])
+            assert serve(backend, replica) == (1, ["a"])
+            earlier = backend.search_batch([PROBE])
             backend.delete("a")
             new = backend.insert("10101111XXXX", "b", 1.0, None, 1)
             assert (new.bank, new.row) == (old.bank, old.row)
-            assert serve(replica) == (3, ["b"])
+            assert serve(backend, replica) == (3, ["b"])
             assert earlier[0].match_keys == ["a"]
             assert earlier[0].matches[0].key == "a"
         finally:
@@ -202,12 +209,12 @@ class TestMaskedMemoAcrossATornWindow:
             return generation
 
         replica._refresh = tearing_refresh
-        generation, matches, _, _ = replica.serve_search([PROBE], mask)
+        generation, rows, _, _, _ = replica.serve_search([PROBE], mask)
         assert torn and generation == 1
-        assert [key for key, *_ in matches[0]] == ["a"]
+        assert writer_keys(backend, rows) == ["a"]
         replica._refresh = real_refresh
         # Served again at the unchanged generation: still the restored
         # content, through the memoized masked slot.
         for _ in range(2):
-            _, matches, _, _ = replica.serve_search([PROBE], mask)
-            assert [key for key, *_ in matches[0]] == ["a"]
+            _, rows, _, _, _ = replica.serve_search([PROBE], mask)
+            assert writer_keys(backend, rows) == ["a"]

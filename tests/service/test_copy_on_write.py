@@ -93,12 +93,21 @@ def test_service_doors_serve_snapshots(door, use_cache):
 
 
 def test_cluster_burst_door_serves_snapshots():
+    # Workers answer with arena rows; the writer resolves them to its
+    # own published entries, as every in-process door returns them.
     with ClusterService(config=make_config(), workers=1) as service:
         fill(service)
+        published = service.read(lambda store: store.get("rule-a"))
         (served,) = service.search_many([OLD_PROBE])
+        assert [m for m in served.result.matches
+                if m.key == "rule-a"] == [published]
+        assert all(m is published for m in served.result.matches
+                   if m.key == "rule-a")
         service.update("rule-a", NEW, payload="v2")
         assert_pre_write(served.result.matches)
-        assert_post_write(service.search_many([NEW_PROBE])[0].result)
+        after = service.search_many([NEW_PROBE])[0].result
+        assert_post_write(after)
+        assert after.best is service.read(lambda store: store.get("rule-a"))
 
 
 def test_durable_update_leaves_earlier_results_alone():
