@@ -76,9 +76,12 @@ class Replica:
         def attempt():
             return (self._refresh(),
                     *self.fabric.search_rows(list(queries), mask))
-        generation, rows, offsets, energies, latencies = \
+        generation, rows, offsets, energies, latencies, charge = \
             self.arena.read_consistent(attempt, timeout=self.read_timeout,
                                        on_retry=self._bust)
+        # Counted once, for the attempt that validated; a torn one is
+        # retried without a trace in the telemetry.
+        self.fabric.account(charge)
         return generation, rows.tolist(), offsets, energies, latencies
 
     def telemetry(self) -> Dict[str, Any]:

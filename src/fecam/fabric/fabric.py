@@ -503,25 +503,30 @@ class TcamFabric:
         """:meth:`search_batch` for queries already through
         :func:`~fecam.fabric.batch.normalize_queries`, so a caller that
         validated them (the store) does not pay twice:
-        :meth:`search_rows`, then :meth:`hydrate`; the results are views
-        over the columnar batch."""
+        :meth:`search_rows`, :meth:`account`, then :meth:`hydrate`; the
+        results are views over the columnar batch."""
         if not queries:
             return []
-        rows, offsets, energy, latency = self.search_rows(queries, mask)
+        rows, offsets, energy, latency, charge = self.search_rows(
+            queries, mask)
+        self.account(charge)
         return self.hydrate(queries, mask, rows, offsets).results(
             energy, latency)
 
     @hot_path
     def search_rows(self, queries: List[str], mask: Optional[str] = None
                     ) -> Tuple[np.ndarray, List[int], List[float],
-                               List[float]]:
+                               List[float], tuple]:
         """A batch search up to matched arena rows: one fused kernel
-        pass, :meth:`_account`, then the priority-encoder order.
+        pass, :meth:`_price`, then the priority-encoder order.
 
-        Returns ``(rows, offsets, energy, latency)``: query ``i``
-        matched ``rows[offsets[i]:offsets[i + 1]]``, best first.  Reads
-        the planes and the per-row columns, never an entry — which is
-        what lets a `fecam.cluster` worker run it over the shared arena.
+        Returns ``(rows, offsets, energy, latency, charge)``: query
+        ``i`` matched ``rows[offsets[i]:offsets[i + 1]]``, best first.
+        Reads the planes and the per-row columns, never an entry — which
+        is what lets a `fecam.cluster` worker run it over the shared
+        arena.  No counter moves until the caller passes ``charge`` to
+        :meth:`account`, so a worker whose seqlock read tore can retry
+        the search and count it once.
         """
         mask_bits = (self.banks[0].cam.pack_mask(mask)
                      if mask is not None else None)
@@ -539,14 +544,14 @@ class TcamFabric:
                                          reuse_buffers=True)
         targets = trace_active()
         merge_start = time.perf_counter() if targets else 0.0
-        energy, latency = self._account(counts, n_q)
+        energy, latency, charge = self._price(counts, n_q)
         rows, offsets = self._order(counts, n_q)
         if targets:
-            # Everything after the fused kernel: pricing, bank counters
-            # and priority-encoder ordering.
+            # Everything after the fused kernel: pricing and
+            # priority-encoder ordering.
             record_span(targets, "fabric.merge", merge_start,
                         time.perf_counter(), queries=n_q)
-        return rows, offsets, energy, latency
+        return rows, offsets, energy, latency, charge
 
     def hydrate(self, queries: List[str], mask: Optional[str],
                 rows: Sequence[int], offsets: List[int]) -> BatchMatches:
@@ -557,20 +562,18 @@ class TcamFabric:
                             offsets)
 
     @hot_path
-    def _account(self, counts: FusedBatchCounts, n_q: int
-                 ) -> Tuple[List[float], List[float]]:
-        """Price a batch, fold it into every counter, and return the
-        per-query energies and latencies.
+    def _price(self, counts: FusedBatchCounts, n_q: int
+               ) -> Tuple[List[float], List[float], tuple]:
+        """Price a batch: the per-query energies and latencies, and the
+        ``charge`` :meth:`account` folds into the counters.
 
         Bit-identical to ``_combine`` over a loop of per-bank searches:
         one :func:`price_searches` call over the ``(B, Q)`` counts; the
-        axis-0 reduction adds bank rows in bank order, as the loop does;
-        a sequential ``cumsum`` advances each ``energy_spent`` as the
-        loop's ``+=`` does.
+        axis-0 reduction adds bank rows in bank order, as the loop does.
         """
-        cams = [bank.cam for bank in self.banks]
         constants = np.array(
-            [cam._search_constants() for cam in cams]).T[:, :, None]
+            [bank.cam._search_constants() for bank in self.banks]
+        ).T[:, :, None]
         e1, e2, lat1, lat2 = constants[:4]
         two_step, early = constants[4:] > 0
         bank_energy, bank_latency = price_searches(
@@ -579,6 +582,17 @@ class TcamFabric:
             counts.rows_searched[:, None], e1, e2, lat1, lat2, two_step,
             early)
         latency = bank_latency.max(axis=0)
+        charge = (bank_energy, counts.step1_eliminated.sum(axis=1),
+                  counts.rows_searched * n_q, n_q, float(latency.max()))
+        return (np.add.reduce(bank_energy, axis=0).tolist(),
+                latency.tolist(), charge)
+
+    def account(self, charge: tuple) -> None:
+        """Fold one priced batch (:meth:`search_rows`'s ``charge``) into
+        every counter; a sequential ``cumsum`` advances each
+        ``energy_spent`` as the per-bank loop's ``+=`` does."""
+        bank_energy, step1_eliminated, rows_examined, n_q, worst = charge
+        cams = [bank.cam for bank in self.banks]
         with self._counters_lock:
             spent = np.cumsum(
                 np.column_stack(([cam.energy_spent for cam in cams],
@@ -586,13 +600,10 @@ class TcamFabric:
             for cam, total in zip(cams, spent.tolist()):
                 cam.energy_spent = total
                 cam.search_count += n_q
-            self._step1_eliminated += counts.step1_eliminated.sum(axis=1)
-            self._rows_examined += counts.rows_searched * n_q
+            self._step1_eliminated += step1_eliminated
+            self._rows_examined += rows_examined
             self._searches += n_q
-            self._worst_latency = max(self._worst_latency,
-                                      float(latency.max()))
-        return (np.add.reduce(bank_energy, axis=0).tolist(),
-                latency.tolist())
+            self._worst_latency = max(self._worst_latency, worst)
 
     @hot_path
     def _order(self, counts: FusedBatchCounts, n_q: int

@@ -26,9 +26,9 @@
  * The omp pragmas are active only when built with -fopenmp; without
  * it they are ignored and the kernel runs single-threaded.
  *
- * Part 2 (fecam_mna_*, at the end of the file) assembles the SPICE
- * engine's Jacobian and residual and runs its Newton iteration around
- * the caller's linear solve; see the comments there.
+ * Part 2 (fecam_mna_* and fecam_lu_solve, at the end of the file)
+ * assembles the SPICE engine's Jacobian and residual and runs its whole
+ * Newton solve, LU included; see the comments there.
  */
 
 #include <math.h>
@@ -39,7 +39,7 @@
 
 /* Bumped whenever an exported signature changes; the Python side
  * refuses a library whose ABI does not match. */
-#define FECAM_KERNEL_ABI 5
+#define FECAM_KERNEL_ABI 6
 
 FECAM_API int64_t fecam_kernel_abi(void) { return FECAM_KERNEL_ABI; }
 
@@ -616,45 +616,129 @@ FECAM_API void fecam_mna_assemble(
     }
 }
 
+/* Solve a y = b in place (y left in b, a overwritten) by dense LU with
+ * partial pivoting: the pivot is the first row from k down whose |a|
+ * is strictly the largest (a NaN never wins against a number), and an
+ * exactly zero pivot returns 0 (singular); success returns 1.  Rows
+ * whose multiplier is exactly zero and columns where the pivot row is
+ * exactly zero are skipped, which on an MNA Jacobian is most of them.
+ * Every entry is updated by one multiply and one subtract at a time in
+ * a fixed order (the back substitution runs by columns), so there is
+ * no reduction the compiler could reorder, and tests/spice/lu_twin.py,
+ * the same algorithm in Python, must equal it bit for bit.  cols is
+ * scratch for n column indices. */
+FECAM_API int64_t fecam_lu_solve(double *a, double *b, int64_t n,
+                                 int64_t *cols)
+{
+    for (int64_t k = 0; k < n; k++) {
+        double *rk = a + k * n;
+        int64_t p = k;
+        double best = fabs(rk[k]);
+        for (int64_t i = k + 1; i < n; i++) {
+            const double v = fabs(a[i * n + k]);
+            if (v > best) {
+                best = v;
+                p = i;
+            }
+        }
+        if (best == 0.0)
+            return 0;
+        if (p != k) {
+            double *rp = a + p * n;
+            for (int64_t j = k; j < n; j++) {
+                const double t = rk[j];
+                rk[j] = rp[j];
+                rp[j] = t;
+            }
+            const double t = b[k];
+            b[k] = b[p];
+            b[p] = t;
+        }
+        int64_t m = 0;
+        for (int64_t j = k + 1; j < n; j++)
+            if (rk[j] != 0.0)
+                cols[m++] = j;
+        const double pivot = rk[k], bk = b[k];
+        for (int64_t i = k + 1; i < n; i++) {
+            double *ri = a + i * n;
+            const double l = ri[k] / pivot;
+            if (l == 0.0)
+                continue;
+            for (int64_t c = 0; c < m; c++) {
+                const int64_t j = cols[c];
+                ri[j] = ri[j] - l * rk[j];
+            }
+            b[i] = b[i] - l * bk;
+        }
+    }
+    for (int64_t j = n - 1; j >= 0; j--) {
+        const double y = b[j] / a[j * n + j];
+        b[j] = y;
+        for (int64_t i = 0; i < j; i++)
+            b[i] = b[i] - a[i * n + j] * y;
+    }
+    return 1;
+}
+
 /* One Newton solve's working set, owned by the caller (the ctypes
  * Structure fecam.kernels.compiled.MnaNewton mirrors this layout, field
- * for field).  The tolerances are NewtonOptions'; residual is max|F| of
- * the iterate the last J and -F were assembled at. */
+ * for field).  The tolerances are NewtonOptions'.  fecam_mna_solve
+ * writes iterations (see there) and residual, max|F| at the last
+ * iterate assembled (INFINITY if none was). */
 typedef struct {
     const int64_t *rows;
     int64_t n_rows;
     const double *par;
     const double *state;
     double *x;        /* (n,) the iterate, updated in place */
-    double *dx;       /* (n,) the update the caller solved for */
-    double *J;        /* (n, n) Jacobian at x */
-    double *neg_f;    /* (n,) -F at x */
+    double *dx;       /* (n,) -F, then the update solved from it */
+    double *J;        /* (n, n) Jacobian, factored in place */
+    int64_t *cols;    /* (n,) fecam_lu_solve scratch */
     int64_t n;
     int64_t n_nodes;
     int64_t tran;
     double h, gmin;
     double v_limit, abstol_v, abstol_i, reltol, residual_tol;
+    int64_t max_iterations;
+    int64_t iterations;
     double residual;
 } mna_newton_t;
 
-/* One iteration of _System.solve_newton after its linear solve, then
- * the assembly the next solve needs.  With update set, dx is applied
- * exactly as the Python loop applies it: any non-finite entry returns
- * -1 with x untouched; node entries are clipped to +-v_limit; x moves
- * by dx; and the step has converged (return 1, nothing assembled) when
- * every |dx| is within abstol + reltol*|x| (volts on node rows, amperes
- * on branch rows) and residual — still the one the solve started from —
- * is within residual_tol.  Otherwise (and always without update) J and
- * -F are assembled at x, residual becomes max|F| (NaN if any entry is,
- * like np.max) and the return is 0. */
-FECAM_API int64_t fecam_mna_newton(mna_newton_t *w, int64_t update)
+enum { MNA_CONVERGED = 0, MNA_NOT_CONVERGED, MNA_NON_FINITE, MNA_SINGULAR };
+
+/* _System.solve_newton from the iterate in x, every iteration in C:
+ * assemble J and -F at x (residual = max|F|, NaN if any entry is, like
+ * np.max), solve J dx = -F with fecam_lu_solve, then apply dx exactly
+ * as the Python loop applies it: any non-finite entry stops with x
+ * untouched; node entries are clipped to +-v_limit; x moves by dx; and
+ * the solve has converged when every |dx| is within abstol +
+ * reltol*|x| (volts on node rows, amperes on branch rows) and the
+ * residual is within residual_tol.  Returns MNA_CONVERGED (iterations
+ * = the count run), MNA_SINGULAR or MNA_NON_FINITE (iterations = the
+ * failing iteration's index), or MNA_NOT_CONVERGED (iterations =
+ * max_iterations). */
+FECAM_API int64_t fecam_mna_solve(mna_newton_t *w)
 {
     const int64_t n = w->n, n_nodes = w->n_nodes;
-    double *x = w->x, *dx = w->dx, *neg_f = w->neg_f;
-    if (update) {
+    double *x = w->x, *dx = w->dx;
+    w->residual = INFINITY;
+    for (int64_t it = 0; it < w->max_iterations; it++) {
+        w->iterations = it;
+        fecam_mna_assemble(w->rows, w->n_rows, w->par, w->state, x, n,
+                           n_nodes, w->tran, w->h, w->gmin, w->J, dx);
+        double peak = 0.0;
+        for (int64_t k = 0; k < n; k++) {
+            const double a = fabs(dx[k]);
+            if (a > peak || isnan(a))
+                peak = a;
+            dx[k] = -dx[k];
+        }
+        w->residual = peak;
+        if (!fecam_lu_solve(w->J, dx, n, w->cols))
+            return MNA_SINGULAR;
         for (int64_t k = 0; k < n; k++)
             if (!isfinite(dx[k]))
-                return -1;
+                return MNA_NON_FINITE;
         const double lim = w->v_limit;
         for (int64_t k = 0; k < n_nodes; k++) {
             double d = dx[k];
@@ -674,20 +758,13 @@ FECAM_API int64_t fecam_mna_newton(mna_newton_t *w, int64_t update)
         for (int64_t k = n_nodes; k < n; k++)
             if (!(fabs(dx[k]) <= w->abstol_i + w->reltol * fabs(x[k])))
                 converged = 0;
-        if (converged && w->residual <= w->residual_tol)
-            return 1;
+        if (converged && peak <= w->residual_tol) {
+            w->iterations = it + 1;
+            return MNA_CONVERGED;
+        }
     }
-    fecam_mna_assemble(w->rows, w->n_rows, w->par, w->state, x, n, n_nodes,
-                       w->tran, w->h, w->gmin, w->J, neg_f);
-    double peak = 0.0;
-    for (int64_t k = 0; k < n; k++) {
-        const double a = fabs(neg_f[k]);
-        if (a > peak || isnan(a))
-            peak = a;
-        neg_f[k] = -neg_f[k];
-    }
-    w->residual = peak;
-    return 0;
+    w->iterations = w->max_iterations;
+    return MNA_NOT_CONVERGED;
 }
 
 /* Accept the converged timestep h at x: capacitor rows store their

@@ -40,7 +40,7 @@ from ..errors import KernelUnavailableError
 __all__ = ["source_path", "cache_dir", "build_library", "load_library"]
 
 #: ABI the Python bindings speak; must match _kernel.c's FECAM_KERNEL_ABI.
-KERNEL_ABI = 5
+KERNEL_ABI = 6
 
 #: -ffp-contract=off keeps a*b + c two roundings: GCC's GNU-mode default
 #: (and clang's within one expression) fuses it into an FMA, which would

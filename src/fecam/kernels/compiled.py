@@ -29,16 +29,19 @@ bit-identical to the NumPy backend (the hypothesis suites in
 
 The MNA entry points are bound as bare ctypes functions;
 :mod:`fecam.spice.analysis` owns the stamp table and its pointers.
-:attr:`CompiledKernel.mna_newton` is the SPICE tier's Newton iteration:
-it takes one :class:`MnaNewton` working set (the stamp table, the
-iterate, the dense system and the tolerances, all fixed per analysis)
-so that one call — two arguments, nothing re-validated — applies the
-solved update, runs the convergence test and assembles J, -F and
-max|F| for the next solve.  The linear solve itself stays NumPy's
-LAPACK ``dgesv`` between calls, which keeps the iterates bit-identical
-to the Python loop.  :attr:`CompiledKernel.mna_assemble` (J and F at
-one iterate) and :attr:`CompiledKernel.mna_commit` (once per accepted
-timestep) complete the set.
+:attr:`CompiledKernel.mna_solve` is the SPICE tier's whole Newton
+solve: it takes one :class:`MnaNewton` working set (the stamp table,
+the iterate, the dense system and the tolerances, all fixed per
+analysis) and, in one call with nothing re-validated, assembles J and
+-F, solves by a dense partial-pivot LU (:attr:`CompiledKernel.lu_solve`),
+applies the update and runs the convergence tests until the solve
+converges or fails.  The LU is not LAPACK's, so the compiled iterates
+are not bit-identical to the Python loop's ``np.linalg.solve``; they
+are bit-identical to the Python loop solving through the LU's Python
+twin (``tests/spice/lu_twin.py``), and within a measured, stated
+tolerance of ``dgesv``.  :attr:`CompiledKernel.mna_assemble` (J and F
+at one iterate) and :attr:`CompiledKernel.mna_commit` (once per
+accepted timestep) complete the set.
 """
 
 from __future__ import annotations
@@ -67,15 +70,19 @@ _PTR_CACHE = "_compiled_kernel_ptrs"
 
 class MnaNewton(ctypes.Structure):
     """``mna_newton_t`` of ``_kernel.c``, field for field: the working set
-    one :attr:`CompiledKernel.mna_newton` call reads and updates."""
+    one :attr:`CompiledKernel.mna_solve` call reads and updates."""
 
     _fields_ = [("rows", _PTR), ("n_rows", _I64), ("par", _PTR),
                 ("state", _PTR), ("x", _PTR), ("dx", _PTR), ("J", _PTR),
-                ("neg_f", _PTR), ("n", _I64), ("n_nodes", _I64),
+                ("cols", _PTR), ("n", _I64), ("n_nodes", _I64),
                 ("tran", _I64), ("h", _F64), ("gmin", _F64),
                 ("v_limit", _F64), ("abstol_v", _F64), ("abstol_i", _F64),
                 ("reltol", _F64), ("residual_tol", _F64),
+                ("max_iterations", _I64), ("iterations", _I64),
                 ("residual", _F64)]
+
+    #: fecam_mna_solve's return codes.
+    CONVERGED, NOT_CONVERGED, NON_FINITE, SINGULAR = range(4)
 
 
 def _require(arr: np.ndarray, dtype: type, what: str) -> np.ndarray:
@@ -118,10 +125,14 @@ class CompiledKernel:
         commit = lib.fecam_mna_commit
         commit.restype = None
         commit.argtypes = [_PTR, _I64] + [_PTR] * 3 + [_F64]
-        # (working set, update) -> -1 non-finite dx, 1 converged, 0 not
-        newton = lib.fecam_mna_newton
-        newton.restype = _I64
-        newton.argtypes = [_PTR, _I64]
+        # (working set) -> MnaNewton.CONVERGED ... MnaNewton.SINGULAR
+        solve = lib.fecam_mna_solve
+        solve.restype = _I64
+        solve.argtypes = [_PTR]
+        # (a, b, n, cols) -> 1 solved in place, 0 singular
+        lu_solve = lib.fecam_lu_solve
+        lu_solve.restype = _I64
+        lu_solve.argtypes = [_PTR, _PTR, _I64, _PTR]
         omp = lib.fecam_kernel_openmp
         omp.restype = _I64
         omp.argtypes = []
@@ -131,11 +142,12 @@ class CompiledKernel:
         self._count_sparse = count_sp
         self._fill = fill
         self._fill_sparse = fill_sp
-        #: MNA assembly, Newton iteration and state commit over a spice
-        #: stamp table.
+        #: MNA assembly, Newton solve and state commit over a spice
+        #: stamp table, and the dense LU the solve uses.
         self.mna_assemble = assemble
-        self.mna_newton = newton
+        self.mna_solve = solve
         self.mna_commit = commit
+        self.lu_solve = lu_solve
         #: Whether the library was built with OpenMP (informational).
         self.openmp = bool(omp())
 

@@ -10,22 +10,24 @@ The solver follows textbook SPICE practice:
   exposes a companion model through its ``stamp``/``commit`` methods and the
   step is retried with a halved timestep on non-convergence.
 
-Newton has two paths with bit-identical results.  When the compiled
-kernel is active (:func:`fecam.kernels.active_kernel`) and every element
-provides a :meth:`~fecam.spice.netlist.Element.record`, the circuit is
-flattened into a :class:`_StampTable` and each Newton iteration is one
-``np.linalg.solve`` plus one C call that applies the update (limiting,
-convergence test) and assembles J, -F and max|F| for the next solve; one
-more C call per accepted step commits the state.  The solve stays
-NumPy's LAPACK so both paths factor the same matrices the same way.
-Otherwise each element's ``stamp`` runs in Python and NumPy does the
-update — the reference path, the path without a compiler, and the one
-for elements without a record (``CurrentSource``, ``Switch``,
-``Diode``).
+Newton has two paths.  When the compiled kernel is active
+(:func:`fecam.kernels.active_kernel`) and every element provides a
+:meth:`~fecam.spice.netlist.Element.record`, the circuit is flattened
+into a :class:`_StampTable` and a whole Newton solve is one C call:
+assembly, a dense partial-pivot LU, the update with its limiting and
+the convergence tests, iteration after iteration; one more C call per
+accepted step commits the state.  Otherwise each element's ``stamp``
+runs in Python, ``np.linalg.solve`` (LAPACK ``dgesv``) solves and NumPy
+does the update — the reference path, the path without a compiler, and
+the one for elements without a record (``CurrentSource``, ``Switch``,
+``Diode``).  The two paths assemble bit-identical systems and exit
+through the same tests with the same messages; they differ only in how
+the LU rounds.  The Python loop solving through the C LU's Python twin
+(``tests/spice/lu_twin.py``) reproduces the compiled path bit for bit,
+and against ``dgesv`` the compiled results stay within the tolerance
+``tests/spice/test_compiled_stamps.py`` states.
 
-Matrices are dense numpy for small systems and switch to scipy sparse
-factorization above a size threshold; TCAM word-level circuits stay well
-under a thousand unknowns either way.
+Matrices are dense: TCAM word-level circuits have a few dozen unknowns.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from ..errors import ConvergenceError, NetlistError, SimulationError
 from .elements import VoltageSource
 from .netlist import REC_VSRC, Circuit, Element, TerminalVoltages
 from .results import OperatingPoint, SweepResult, TransientResult
-
-_SPARSE_THRESHOLD = 400
 
 
 @dataclass
@@ -101,11 +101,13 @@ class _StampTable:
     and :meth:`write_back` hands it to the elements.  ``par`` holds every
     voltage source's level at the last :meth:`set_levels` (``sources`` /
     ``level_offsets``, circuit order).  ``newton`` is the compiled Newton
-    iteration's working set over the ``x``/``dx``/``j``/``neg_f`` buffers.
+    solve's working set over the ``x``/``dx``/``j``/``cols`` buffers,
+    with the ``options`` tolerances.
     """
 
     def __init__(self, kernel, elements: Sequence[Element],
-                 records: Sequence[tuple], n_unknowns: int, n_nodes: int):
+                 records: Sequence[tuple], n_unknowns: int, n_nodes: int,
+                 options: NewtonOptions):
         from ..kernels.compiled import MnaNewton
 
         rows: List[List[int]] = []
@@ -138,10 +140,14 @@ class _StampTable:
         self.x = np.zeros(n)
         self.dx = np.zeros(n)
         self.j = np.zeros((n, n))
-        self.neg_f = np.zeros(n)
+        self.cols = np.zeros(n, dtype=np.int64)
         self.newton = MnaNewton(
             *self._ptrs, self.x.ctypes.data, self.dx.ctypes.data,
-            self.j.ctypes.data, self.neg_f.ctypes.data, n, n_nodes)
+            self.j.ctypes.data, self.cols.ctypes.data, n, n_nodes,
+            v_limit=options.v_limit, abstol_v=options.abstol_v,
+            abstol_i=options.abstol_i, reltol=options.reltol,
+            residual_tol=options.residual_tol,
+            max_iterations=options.max_iterations)
         self._newton_p = ctypes.addressof(self.newton)
 
     def set_levels(self, t: float, source_scale: float) -> None:
@@ -154,11 +160,11 @@ class _StampTable:
                                   n_nodes, tran, h, gmin, j.ctypes.data,
                                   f.ctypes.data)
 
-    def newton_step(self, update: bool) -> int:
-        """Apply ``dx`` to ``x`` and test convergence (``update``), then
-        assemble ``j``/``neg_f`` at ``x`` unless converged; returns -1
-        (non-finite ``dx``), 1 (converged) or 0."""
-        return self._kernel.mna_newton(self._newton_p, update)
+    def solve(self) -> int:
+        """Run Newton from ``x`` in place; returns the kernel's status
+        (``newton.CONVERGED`` ...) and leaves ``newton.iterations`` and
+        ``newton.residual`` set."""
+        return self._kernel.mna_solve(self._newton_p)
 
     def commit(self, x: np.ndarray, h: float) -> None:
         self._kernel.mna_commit(*self._ptrs, x.ctypes.data, h)
@@ -205,7 +211,7 @@ class _System:
         if any(record is None for record in records):
             return
         self.table = _StampTable(kernel, self.circuit.elements, records,
-                                 self.n_unknowns, self.n_nodes)
+                                 self.n_unknowns, self.n_nodes, self.options)
 
     def views_for(self, x: np.ndarray) -> List[TerminalVoltages]:
         return [TerminalVoltages(x, e._node_index, e._branch_index)
@@ -249,20 +255,11 @@ class _System:
             f = ctx._f
             last_residual = float(np.max(np.abs(f))) if f.size else 0.0
             try:
-                if self.n_unknowns >= _SPARSE_THRESHOLD:
-                    from scipy.sparse import csc_matrix
-                    from scipy.sparse.linalg import spsolve
-                    dx = spsolve(csc_matrix(ctx._j), -f)
-                else:
-                    dx = np.linalg.solve(ctx._j, -f)
+                dx = np.linalg.solve(ctx._j, -f)
             except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"singular MNA matrix at t={t:.3e}s (iteration {iteration}): {exc}",
-                    iterations=iteration, residual=last_residual) from exc
+                raise _singular(t, iteration, last_residual, exc) from exc
             if not np.all(np.isfinite(dx)):
-                raise ConvergenceError(
-                    f"non-finite Newton update at t={t:.3e}s",
-                    iterations=iteration, residual=last_residual)
+                raise _non_finite(t, iteration, last_residual)
             # Voltage limiting on node entries only.
             dv = dx[:self.n_nodes]
             np.clip(dv, -opts.v_limit, opts.v_limit, out=dv)
@@ -278,56 +275,49 @@ class _System:
                 di_ok = True
             if dv_ok and di_ok and last_residual <= opts.residual_tol:
                 return x
-        raise ConvergenceError(
-            f"Newton failed to converge after {opts.max_iterations} iterations "
-            f"(t={t:.3e}s, residual={last_residual:.3e}A)",
-            iterations=opts.max_iterations, residual=last_residual)
+        raise _not_converged(t, opts.max_iterations, last_residual)
 
     def _solve_compiled(self, table: _StampTable, x0: np.ndarray, *,
                         tran: bool, t: float, h: float, gmin: float,
                         source_scale: float) -> np.ndarray:
-        """:meth:`solve_newton` on the stamp table: per iteration one
-        ``np.linalg.solve`` and one C call, with the Python loop's exits,
-        messages, iteration counts and residuals."""
-        opts = self.options
+        """:meth:`solve_newton` on the stamp table: one C call, with the
+        Python loop's exits, messages, iteration counts and residuals."""
         table.set_levels(t, source_scale)
         work = table.newton
         work.tran = tran
         work.h = h
         work.gmin = gmin
-        work.v_limit = opts.v_limit
-        work.abstol_v = opts.abstol_v
-        work.abstol_i = opts.abstol_i
-        work.reltol = opts.reltol
-        work.residual_tol = opts.residual_tol
         table.x[:] = x0
-        table.newton_step(False)
-        j, neg_f = table.j, table.neg_f
-        last_residual = math.inf
-        for iteration in range(opts.max_iterations):
-            last_residual = work.residual
-            try:
-                if self.n_unknowns >= _SPARSE_THRESHOLD:
-                    from scipy.sparse import csc_matrix
-                    from scipy.sparse.linalg import spsolve
-                    table.dx[:] = spsolve(csc_matrix(j), neg_f)
-                else:
-                    table.dx[:] = np.linalg.solve(j, neg_f)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"singular MNA matrix at t={t:.3e}s (iteration {iteration}): {exc}",
-                    iterations=iteration, residual=last_residual) from exc
-            status = table.newton_step(True)
-            if status > 0:
-                return table.x.copy()
-            if status < 0:
-                raise ConvergenceError(
-                    f"non-finite Newton update at t={t:.3e}s",
-                    iterations=iteration, residual=last_residual)
-        raise ConvergenceError(
-            f"Newton failed to converge after {opts.max_iterations} iterations "
-            f"(t={t:.3e}s, residual={last_residual:.3e}A)",
-            iterations=opts.max_iterations, residual=last_residual)
+        status = table.solve()
+        if status == work.CONVERGED:
+            return table.x.copy()
+        iteration, residual = work.iterations, work.residual
+        if status == work.SINGULAR:
+            raise _singular(t, iteration, residual, "Singular matrix")
+        if status == work.NON_FINITE:
+            raise _non_finite(t, iteration, residual)
+        raise _not_converged(t, iteration, residual)
+
+
+def _singular(t: float, iteration: int, residual: float,
+              reason: object) -> ConvergenceError:
+    return ConvergenceError(
+        f"singular MNA matrix at t={t:.3e}s (iteration {iteration}): {reason}",
+        iterations=iteration, residual=residual)
+
+
+def _non_finite(t: float, iteration: int,
+                residual: float) -> ConvergenceError:
+    return ConvergenceError(f"non-finite Newton update at t={t:.3e}s",
+                            iterations=iteration, residual=residual)
+
+
+def _not_converged(t: float, iterations: int,
+                   residual: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"Newton failed to converge after {iterations} iterations "
+        f"(t={t:.3e}s, residual={residual:.3e}A)",
+        iterations=iterations, residual=residual)
 
 
 def operating_point(circuit: Circuit, *, t: float = 0.0,

@@ -118,6 +118,40 @@ class TestStalledWriter:
         assert keys == ["a", "b"]
 
 
+    def test_retried_attempt_is_counted_once(self, backend, replica):
+        """The torn attempt is searched and priced, then discarded: the
+        worker's telemetry counts the one query it served, and its
+        energy is one batch's, the validated attempt's."""
+        backend.insert("1010XXXXXXXX", "a", 0.0, None, 0)
+        fired = []
+        real_refresh = replica._refresh
+
+        def racing_refresh():
+            generation = real_refresh()
+            if not fired:
+                fired.append(1)
+                backend.insert("10101111XXXX", "b", 1.0, None, 1)
+            return generation
+
+        replica._refresh = racing_refresh
+        generation, rows, _, energies, _ = replica.serve_search([PROBE])
+        assert fired and generation == 2
+        assert writer_keys(backend, rows) == ["a", "b"]
+        first = replica.telemetry()
+        assert first["searches"] == 1
+        assert first["energy"] == pytest.approx(energies[0], rel=1e-12)
+        # A clean search of the same batch moves every counter as much.
+        replica._refresh = real_refresh
+        _, _, _, again, _ = replica.serve_search([PROBE])
+        assert again == energies
+        second = replica.telemetry()
+        assert second["searches"] == 2
+        assert second["energy"] == pytest.approx(2 * first["energy"],
+                                                 rel=1e-12)
+        for counter in ("rows_examined", "step1_eliminated"):
+            assert second[counter] == 2 * first[counter], counter
+
+
 class TestDeadWriter:
     def test_wedged_window_turns_into_typed_timeout(
             self, backend, replica):

@@ -9,8 +9,10 @@
   ``paper``, ``analytical`` and ``spice`` fidelities.
 
 The comparison allows a relative 1e-6.  On the x86-64 Linux host that
-generated the file (Python 3.11, NumPy 2.4) both kernels,
-``FECAM_KERNEL=compiled`` and ``numpy``, reproduce it exactly.  Another
+generated the file (Python 3.11, NumPy 2.4) ``FECAM_KERNEL=numpy``
+reproduces it exactly; the compiled kernel, whose LU is not LAPACK's,
+reproduces it within 4.6e-10 relative (a near-zero ``sa_final``) and
+every spice ``Fom`` latency or energy within 1.3e-15.  Another
 NumPy or BLAS build may round the MNA solves differently; to size the
 tolerance for that, every ``np.linalg.solve`` result was scaled by
 ``1 + u`` with random ``|u|`` up to 2.2e-7 (five seeds): no step count
@@ -25,6 +27,10 @@ with an old -> new table; regenerate the file on purpose with::
     PYTHONPATH=src python tests/paper/test_ledger.py --write
 
 and name the moved cells in the change's description.
+
+``--md`` prints the committed ledger's Table 4 (paper vs spice, 3
+significant figures), the table README.md carries between its
+``table4`` markers; a test keeps the two equal.
 """
 
 import argparse
@@ -42,6 +48,14 @@ from fecam.metrics import DesignPoint, clear_registry, evaluate
 
 LEDGER_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "ledger.json")
+README_PATH = os.path.join(os.path.dirname(LEDGER_PATH), os.pardir,
+                           os.pardir, "README.md")
+TABLE4_BEGIN = "<!-- table4:begin -->"
+TABLE4_END = "<!-- table4:end -->"
+#: (Fom field, column title, scale to the paper's unit)
+TABLE4_COLUMNS = (("latency_1step", "1-step latency (ps)", 1e12),
+                  ("latency_total", "total latency (ps)", 1e12),
+                  ("search_energy_avg", "avg energy (fJ/bit)", 1e15))
 REL_TOL = 1e-6
 WORD_LENGTHS = (16, 64)
 FIDELITIES = ("paper", "analytical", "spice")
@@ -118,6 +132,46 @@ def format_diff(rows: List[Tuple[str, object, object]]) -> str:
     return "\n".join(lines)
 
 
+def _sig3(value: float) -> str:
+    """``value`` to 3 significant figures, trailing zeros kept, never in
+    exponent form (1147 -> 1150, 2.8 -> 2.80)."""
+    if value == 0:
+        return "0"
+    digits = 2 - math.floor(math.log10(abs(value)))
+    return f"{round(value, digits):.{max(digits, 0)}f}"
+
+
+def render_table4(ledger) -> str:
+    """Table 4 as Markdown: for each design the paper's and the spice
+    tier's 1-step latency, total latency and average search energy at
+    64 x 64, and their ratio (a single-step design has no 1-step
+    column)."""
+    header = ["design"]
+    for _, title, _ in TABLE4_COLUMNS:
+        header += [f"{title} paper", "spice", "spice/paper"]
+    lines = ["| " + " | ".join(header) + " |",
+             "|" + "---|" * len(header)]
+    for design in DesignKind:
+        paper = ledger["fom"][f"{design.name}/paper"]
+        spice = ledger["fom"][f"{design.name}/spice"]
+        row = [paper["design"]]
+        for name, _, scale in TABLE4_COLUMNS:
+            if name == "latency_1step" and not design.uses_two_step_search:
+                row += ["—"] * 3
+                continue
+            row += [_sig3(paper[name] * scale), _sig3(spice[name] * scale),
+                    _sig3(spice[name] / paper[name])]
+        lines.append("| " + " | ".join(row) + " |")
+    return "\n".join(lines)
+
+
+def readme_table4() -> str:
+    with open(README_PATH) as fh:
+        text = fh.read()
+    start = text.index(TABLE4_BEGIN) + len(TABLE4_BEGIN)
+    return text[start:text.index(TABLE4_END, start)].strip()
+
+
 def write_ledger(ledger) -> None:
     with open(LEDGER_PATH, "w") as fh:
         json.dump(ledger, fh, indent=1, sort_keys=True)
@@ -134,6 +188,13 @@ def test_paper_numbers_match_the_committed_ledger():
         + format_diff(moved))
 
 
+def test_readme_table4_is_the_ledger_render():
+    with open(LEDGER_PATH) as fh:
+        committed = json.load(fh)
+    assert readme_table4() == render_table4(committed), (
+        f"README.md's Table 4 is stale; paste `python {__file__} --md`")
+
+
 def test_diff_reports_moved_missing_and_added_cells():
     old = {"a": {"x": 1.0, "y": 2, "gone": None}}
     new = {"a": {"x": 1.0 + 1e-12, "y": 3, "new": "s"}}
@@ -148,7 +209,13 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--write", action="store_true",
                         help="regenerate ledger.json from this tree")
+    parser.add_argument("--md", action="store_true",
+                        help="print the committed ledger's Table 4")
     args = parser.parse_args()
+    if args.md:
+        with open(LEDGER_PATH) as fh:
+            print(render_table4(json.load(fh)))
+        sys.exit(0)
     fresh = compute_ledger()
     if args.write:
         write_ledger(fresh)
